@@ -13,21 +13,19 @@ import sys
 from pathlib import Path
 
 from hybridnet import (
+    FIT_METHODS,
     HybridParams,
     MhConfig,
     NelderMeadConfig,
     SimulationConfig,
-    fit_integrated,
-    fit_mh,
-    fit_nelder_mead,
+    fit,
     replay,
     simulate_replicates,
 )
-from hybridnet.cli import summarize_estimates
+from hybridnet.cli import FIXED_START, sampler_seed, summarize_estimates
 
 SETTINGS = [(0.1, 0.8), (0.8, 0.1), (0.45, 0.1)]
 P_VALUES = [0.8, 0.6, 0.2]
-FIXED_START = HybridParams.fill_gamma(1 / 3, 1 / 3, p=0.5, delta_in=1.0, delta_out=1.0)
 
 
 def main(argv=None):
@@ -46,6 +44,10 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     methods = args.methods.split(",")
+    unknown = [method for method in methods if method not in FIT_METHODS]
+    if unknown:
+        ap.error(f"unknown method {unknown[0]!r}")
+    nm_config = NelderMeadConfig(initial_point=FIXED_START)
     lines = ["alpha,beta,p,method,parameter,truth,mean_estimate,abs_bias_pct,sd,se_mean"]
     for p in P_VALUES:
         for alpha, beta in SETTINGS:
@@ -60,15 +62,9 @@ def main(argv=None):
                         burn_in=args.burn_in,
                         iterations=args.iterations,
                         thinning=args.thinning,
-                        seed=args.seed + 7919 * (idx + 1),
+                        seed=sampler_seed(args.seed, idx),
                     )
-                    nm_config = NelderMeadConfig(initial_point=FIXED_START)
-                    if method == "nm":
-                        estimates.append(fit_nelder_mead(stats, nm_config).point)
-                    elif method == "mh":
-                        estimates.append(fit_mh(stats, mh_config).point)
-                    else:
-                        estimates.append(fit_integrated(stats, mh_config, nm_config).point)
+                    estimates.append(fit(stats, method, mh_config, nm_config).point)
                 for row in summarize_estimates(estimates, truth):
                     lines.append(
                         f"{alpha},{beta},{p},{method},{row['parameter']},{row['truth']:.17g},"

@@ -17,24 +17,23 @@ import numpy as np
 
 from . import __version__
 from .degrees import ccdf, degree_counts_from_arrays, limit_pmf
-from .estimation import (
-    FlatPrior,
-    MhConfig,
-    NelderMeadConfig,
-    fit_integrated,
-    fit_mh,
-    fit_nelder_mead,
-)
+from .estimation import FIT_METHODS, FlatPrior, MhConfig, NelderMeadConfig, fit
 from .generator import SimulationConfig, replicate_seeds, simulate_replicates
 from .io import export, parse_edge_file
-from .likelihood import mle_scenarios, replay
+from .likelihood import replay
 from .model import EdgeLog, EdgeRecord, HybridParams, classify_edge_log
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_CONVERGENCE = 3
 
-_FIXED_START = dict(alpha=1 / 3, beta=1 / 3, p=0.5, delta_in=1.0, delta_out=1.0)
+# default simplex start of ``fit`` and ``table``
+FIXED_START = HybridParams.fill_gamma(1 / 3, 1 / 3, p=0.5, delta_in=1.0, delta_out=1.0)
+
+
+def sampler_seed(seed: int, idx: int) -> int:
+    """Sampler seed for replicate ``idx`` of a replicate study seeded with ``seed``."""
+    return seed + 7919 * (idx + 1)
 
 
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
@@ -112,20 +111,6 @@ def _parse_init(text: str) -> HybridParams:
     raise ValueError("--init expects 6 values (a,b,g,p,din,dout) or 8 (a,b,g,xi,eta,p,din,dout)")
 
 
-def _nm_start(args, stats) -> HybridParams:
-    if args.init is not None:
-        return _parse_init(args.init)
-    mle = mle_scenarios(stats)
-    if mle.xi > 0.0 or mle.eta > 0.0:
-        # spread the default start over the five scenarios present
-        base = {"xi": mle.xi, "eta": mle.eta}
-        rest = 1.0 - mle.xi - mle.eta
-        return HybridParams.fill_gamma(
-            rest / 3, rest / 3, 0.5, 1.0, 1.0, xi=base["xi"], eta=base["eta"]
-        )
-    return HybridParams.fill_gamma(**_FIXED_START)
-
-
 def cmd_fit(args) -> int:
     log = parse_edge_file(args.input)
     stats = replay(log, seeded=not args.unseeded)
@@ -136,14 +121,8 @@ def cmd_fit(args) -> int:
         prior=FlatPrior(delta_max=args.delta_max),
         seed=args.seed,
     )
-    if args.method == "nm":
-        result = fit_nelder_mead(stats, NelderMeadConfig(initial_point=_nm_start(args, stats)))
-    elif args.method == "mh":
-        result = fit_mh(stats, mh_config)
-    else:
-        result = fit_integrated(
-            stats, mh_config, NelderMeadConfig(initial_point=_nm_start(args, stats))
-        )
+    start = FIXED_START if args.init is None else _parse_init(args.init)
+    result = fit(stats, args.method, mh_config, NelderMeadConfig(initial_point=start))
     payload = {
         "command": "fit",
         "version": __version__,
@@ -208,30 +187,26 @@ def summarize_estimates(estimates, truth: HybridParams) -> list[dict]:
 
 
 def cmd_table(args) -> int:
+    methods = args.methods.split(",")
+    unknown = [method for method in methods if method not in FIT_METHODS]
+    if unknown:
+        raise ValueError(f"unknown method {unknown[0]!r}")
     params = _params_from_args(args)
     config = SimulationConfig(params=params, n_edges=args.n, seed=args.seed)
     outputs = simulate_replicates(config, args.replicates, worker_count=args.workers)
-    methods = args.methods.split(",")
+    all_stats = [replay(out.log) for out in outputs]
+    nm_config = NelderMeadConfig(initial_point=FIXED_START)
     lines = ["method,parameter,truth,mean_estimate,abs_bias_pct,sd,se_mean"]
     for method in methods:
         estimates = []
-        for idx, (_, log, _) in enumerate(outputs):
-            stats = replay(log)
-            nm_config = NelderMeadConfig(initial_point=HybridParams.fill_gamma(**_FIXED_START))
+        for idx, stats in enumerate(all_stats):
             mh_config = MhConfig(
                 burn_in=args.burn_in,
                 iterations=args.iterations,
                 thinning=args.thinning,
-                seed=args.seed + 7919 * (idx + 1),
+                seed=sampler_seed(args.seed, idx),
             )
-            if method == "nm":
-                estimates.append(fit_nelder_mead(stats, nm_config).point)
-            elif method == "mh":
-                estimates.append(fit_mh(stats, mh_config).point)
-            elif method == "integrated":
-                estimates.append(fit_integrated(stats, mh_config, nm_config).point)
-            else:
-                raise ValueError(f"unknown method {method!r}")
+            estimates.append(fit(stats, method, mh_config, nm_config).point)
         for row in summarize_estimates(estimates, params):
             lines.append(
                 f"{method},{row['parameter']},{row['truth']:.17g},{row['mean_estimate']:.17g},"
@@ -307,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pf = sub.add_parser("fit", help="fit parameters to an edge-list file")
     pf.add_argument("--input", required=True)
-    pf.add_argument("--method", choices=("nm", "mh", "integrated"), default="integrated")
+    pf.add_argument("--method", choices=FIT_METHODS, default="integrated")
     pf.add_argument("--seed", type=int, default=0)
     pf.add_argument("--burn-in", type=int, default=10_000)
     pf.add_argument("--iterations", type=int, default=20_000)

@@ -1,12 +1,14 @@
 """Likelihood maximisation and posterior sampling.
 
-Two routes to the same log-likelihood: a constrained simplex search run in
-a transformed unconstrained space (additive log-ratio coordinates for the
-scenario probabilities, a clamped logit for ``p``, logs for the offsets),
-and a random-walk Metropolis-Hastings sampler with flat priors and
-boundary reflection.  The integrated pipeline uses the sampler's posterior
-mean to seed the simplex search, which removes its sensitivity to the
-initial simplex without changing the optimum.
+Two routes to the same log-likelihood: a simplex search and a random-walk
+Metropolis-Hastings sampler with flat priors and boundary reflection.  The
+scenario probabilities enter the likelihood only through a multinomial
+term, so the simplex search fixes them at their closed-form maximum (the
+empirical frequencies) and searches the three kernel coordinates
+(logit p, log delta_in, log delta_out).  The integrated pipeline uses the
+sampler's posterior mean to seed the simplex search, which removes its
+sensitivity to the initial simplex without changing the optimum.
+``fit`` selects one of the three estimators by name.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 from scipy.optimize import minimize
 
-from .likelihood import SufficientStats, _log_likelihood_parts
+from .likelihood import SufficientStats, _log_likelihood_parts, mle_scenarios
 from .model import HybridParams
 
 SCENARIO_NAMES = ("alpha", "beta", "gamma", "xi", "eta")
@@ -42,8 +44,13 @@ def _logit(p: float) -> float:
 
 @dataclass(frozen=True)
 class NelderMeadConfig:
-    """Simplex-search settings; ``scale`` spreads the initial simplex
-    per transformed coordinate (a scalar is broadcast)."""
+    """Simplex-search settings.
+
+    The search covers (logit p, log delta_in, log delta_out); only those
+    three parameters of ``initial_point`` are read, because the scenario
+    block is fixed at the empirical frequencies.  ``scale`` spreads the
+    initial simplex per search coordinate (a scalar is broadcast to 3).
+    """
 
     initial_point: HybridParams
     scale: float | Sequence[float] = 0.25
@@ -141,84 +148,55 @@ def accept_probability(current_log_target: float, proposal_log_target: float) ->
 
 
 # ---------------------------------------------------------------------------
-# Nelder-Mead in transformed coordinates
+# Nelder-Mead over the kernel coordinates
 # ---------------------------------------------------------------------------
 
 
-class _NmTransform:
-    """Bijection between valid parameters and an unconstrained vector.
+def _scenario_block(stats: SufficientStats) -> tuple[list[float], bool]:
+    """The scenario probabilities' exact closed-form maximum: the empirical
+    frequencies, with a boundary flag.
 
-    Scenario probabilities with zero observed count are pinned to zero (their
-    likelihood optimum); the remaining ones use additive log-ratio
-    coordinates against the best-populated scenario.
+    The kernel terms do not involve the scenario probabilities, so the block
+    is fixed before the search.  A frequency of one violates the regularity
+    constraints; it is clamped just inside the boundary and flagged.
     """
-
-    def __init__(self, stats: SufficientStats):
-        counts = stats.scenario_counts
-        self.present = [i for i, c in enumerate(counts) if c > 0]
-        if not self.present:
-            raise ValueError("cannot fit an empty log")
-        self.base = max(self.present, key=lambda i: counts[i])
-        self.free = [i for i in self.present if i != self.base]
-        self.dim = len(self.free) + 3
-
-    def pack(self, theta: HybridParams) -> np.ndarray:
-        probs = [theta.alpha, theta.beta, theta.gamma, theta.xi, theta.eta]
-        block = {i: max(probs[i], 1e-6) for i in self.present}
-        x = [math.log(block[i] / block[self.base]) for i in self.free]
-        x += [_logit(theta.p), math.log(theta.delta_in), math.log(theta.delta_out)]
-        return np.array(x)
-
-    def unpack(self, x: np.ndarray) -> tuple[float, ...]:
-        k = len(self.free)
-        z = np.exp(np.clip(x[:k], -_CLIP, _CLIP))
-        denom = 1.0 + float(z.sum())
-        probs = [0.0] * 5
-        probs[self.base] = 1.0 / denom
-        for i, zi in zip(self.free, z):
-            probs[i] = float(zi) / denom
-        p = _sigmoid(float(x[k]))
-        delta_in = math.exp(float(np.clip(x[k + 1], -_CLIP, _CLIP)))
-        delta_out = math.exp(float(np.clip(x[k + 2], -_CLIP, _CLIP)))
-        return (*probs, p, delta_in, delta_out)
-
-
-def _frequency_polish(components: list[float], stats: SufficientStats) -> tuple[list[float], bool]:
-    """Replace the scenario block by its exact closed-form maximum.
-
-    The kernel terms do not involve the scenario probabilities, so the
-    blockwise replacement never lowers the likelihood.  A frequency of one
-    violates the regularity constraints; it is clamped just inside the
-    boundary and flagged.
-    """
-    n = len(stats)
-    freqs = [c / n for c in stats.scenario_counts]
-    boundary = False
+    mle = mle_scenarios(stats)
+    # gamma is the remaining mass; rounding can leave an unobserved one at -1e-16
+    probs = [mle.alpha, mle.beta, max(mle.gamma, 0.0), mle.xi, mle.eta]
     for i in range(3):  # alpha, beta, gamma must stay below one
-        if freqs[i] >= 1.0:
-            boundary = True
-            freqs[i] = 1.0 - _PROB_EPS
-            freqs[2 if i != 2 else 0] += _PROB_EPS
-    return freqs + components[5:], boundary
+        if probs[i] >= 1.0:
+            probs[i] = 1.0 - _PROB_EPS
+            probs[2 if i != 2 else 0] += _PROB_EPS
+    return probs, not mle.regular
+
+
+def _kernel(x: np.ndarray) -> tuple[float, float, float]:
+    """(p, delta_in, delta_out) from the search coordinates
+    (logit p, log delta_in, log delta_out)."""
+    log_deltas = np.clip(x[1:], -_CLIP, _CLIP)
+    return _sigmoid(float(x[0])), math.exp(float(log_deltas[0])), math.exp(float(log_deltas[1]))
 
 
 def fit_nelder_mead(stats: SufficientStats, config: NelderMeadConfig) -> EstimationResult:
     """Maximise the log-likelihood with a Nelder-Mead simplex search.
 
-    The search runs in transformed coordinates, so every candidate satisfies
-    the parameter constraints by construction.  Exhaustion of the iteration
-    budget or a collapsed simplex is reported as ``converged=False`` rather
-    than an exception.  After the search the scenario block is set to its
-    exact separable maximum (the empirical frequencies).
+    The scenario block is fixed at its exact separable maximum (the
+    empirical frequencies), and the search runs over the three kernel
+    coordinates (logit p, log delta_in, log delta_out), so every candidate
+    satisfies the parameter constraints by construction.  Only ``p``,
+    ``delta_in`` and ``delta_out`` of the initial point are read.
+    Exhaustion of the iteration budget or a collapsed simplex is reported as
+    ``converged=False`` rather than an exception.
     """
-    tr = _NmTransform(stats)
+    probs, boundary = _scenario_block(stats)
 
     def neg_ll(x: np.ndarray) -> float:
-        val = _log_likelihood_parts(stats, *tr.unpack(x))
+        val = _log_likelihood_parts(stats, *probs, *_kernel(x))
         return -val if math.isfinite(val) else 1e300
 
-    x0 = tr.pack(config.initial_point)
-    scale = np.broadcast_to(np.asarray(config.scale, dtype=float), (tr.dim,))
+    start = config.initial_point
+    x0 = np.array([_logit(start.p), math.log(start.delta_in), math.log(start.delta_out)])
+    scale = np.broadcast_to(np.asarray(config.scale, dtype=float), (3,))
     simplex = np.vstack([x0, x0 + np.diag(scale)])
     # The likelihood carries a flat ridge in (p, delta_in, delta_out); a single
     # simplex pass can collapse on it.  Restart from the incumbent until the
@@ -247,17 +225,7 @@ def fit_nelder_mead(stats: SufficientStats, config: NelderMeadConfig) -> Estimat
             break
         if res is None or attempt.fun < res.fun:
             res = attempt
-    components, boundary = _frequency_polish(list(tr.unpack(res.x)), stats)
-    point = HybridParams(
-        alpha=components[0],
-        beta=components[1],
-        gamma=components[2],
-        xi=components[3],
-        eta=components[4],
-        p=components[5],
-        delta_in=components[6],
-        delta_out=components[7],
-    )
+    components = (*probs, *_kernel(res.x))
     diagnostics = {
         "iterations": total_nit,
         "function_evals": total_nfev,
@@ -267,7 +235,7 @@ def fit_nelder_mead(stats: SufficientStats, config: NelderMeadConfig) -> Estimat
     if boundary:
         diagnostics["boundary"] = "a scenario frequency sits on the regularity boundary"
     return EstimationResult(
-        point=point,
+        point=_params_from_components(components),
         converged=bool(res.success) and not boundary,
         log_likelihood=_log_likelihood_parts(stats, *components),
         diagnostics=diagnostics,
@@ -411,8 +379,7 @@ def fit_mh(stats: SufficientStats, config: MhConfig) -> EstimationResult:
     for t in range(1, total + 1):
         proposal = space.reflect(x + rng.normal(0.0, steps))
         lpp, llp = space.log_target(proposal)
-        u = rng.random()
-        if lpp > -math.inf and u < math.exp(min(lpp - lp, 0.0)):
+        if rng.random() < accept_probability(lp, lpp):
             x, lp, ll = proposal, lpp, llp
             comp = np.array(space.components(x))
             accepted = True
@@ -499,3 +466,21 @@ def fit_integrated(
         "mh_running_means": mh.diagnostics["running_means"],
     }
     return nm
+
+
+FIT_METHODS = ("nm", "mh", "integrated")
+
+
+def fit(
+    stats: SufficientStats, method: str, mh_config: MhConfig, nm_config: NelderMeadConfig
+) -> EstimationResult:
+    """Run the estimator named ``method``, one of ``FIT_METHODS``: the
+    simplex search (``"nm"``), the sampler (``"mh"``) or the sampler-seeded
+    simplex search (``"integrated"``)."""
+    if method == "nm":
+        return fit_nelder_mead(stats, nm_config)
+    if method == "mh":
+        return fit_mh(stats, mh_config)
+    if method == "integrated":
+        return fit_integrated(stats, mh_config, nm_config)
+    raise ValueError(f"unknown method {method!r}")

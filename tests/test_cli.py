@@ -159,6 +159,18 @@ class TestTableCommand:
         assert float(by_name["alpha"]["truth"]) == 0.1
         assert float(by_name["p"]["sd"]) >= 0.0
 
+    def test_unknown_method_fails_before_simulating(self, tmp_path, monkeypatch):
+        import hybridnet.cli as cli
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before validating --methods")
+
+        monkeypatch.setattr(cli, "simulate_replicates", no_simulation)
+        code = run(["table", *TABLE1, "--n", "100", "--replicates", "2",
+                    "--methods", "nm,bogus", "--out", str(tmp_path / "t.csv")])
+        assert code == 2
+        assert not (tmp_path / "t.csv").exists()
+
     def test_bias_definition(self):
         truth = HybridParams.fill_gamma(0.1, 0.8, p=0.8, delta_in=1.3, delta_out=0.7)
         rows = summarize_estimates([truth, truth, truth], truth)

@@ -12,6 +12,7 @@ from hybridnet import (
     NelderMeadConfig,
     SimulationConfig,
     accept_probability,
+    fit,
     fit_integrated,
     fit_mh,
     fit_nelder_mead,
@@ -73,6 +74,15 @@ class TestNelderMead:
         assert "boundary" in result.diagnostics
         assert result.point.beta < 1.0  # clamped just inside the constraint
 
+    def test_unobserved_gamma_stays_zero(self):
+        # counts (1, 1, 0, 1, 6): the remaining mass 1 - 1/9 - 1/9 - 1/9 - 6/9
+        # rounds below zero in floating point
+        pairs = [(2, 1), (1, 1), (3, 3)] + [(k, k + 1) for k in range(4, 16, 2)]
+        stats = replay(log_from_pairs(pairs))
+        assert stats.scenario_counts == (1, 1, 0, 1, 6)
+        result = fit_nelder_mead(stats, NelderMeadConfig(initial_point=FIXED_START))
+        assert result.point.gamma == 0.0
+
     def test_optimum_at_least_truth_on_most_replicates(self):
         th = HybridParams.fill_gamma(0.1, 0.8, p=0.8, delta_in=1.3, delta_out=0.7)
         wins = 0
@@ -84,6 +94,14 @@ class TestNelderMead:
             if result.log_likelihood >= log_likelihood(stats, th):
                 wins += 1
         assert wins >= int(0.95 * reps)
+
+    def test_start_scenario_block_is_ignored(self, sim_stats):
+        _, stats = sim_stats
+        other = HybridParams.fill_gamma(0.2, 0.5, p=0.5, delta_in=1.0, delta_out=1.0, xi=0.1, eta=0.1)
+        a = fit_nelder_mead(stats, NelderMeadConfig(initial_point=FIXED_START))
+        b = fit_nelder_mead(stats, NelderMeadConfig(initial_point=other))
+        assert a.point == b.point
+        assert a.log_likelihood == b.log_likelihood
 
     def test_extended_model_supported(self):
         th = HybridParams.fill_gamma(0.1, 0.6, p=0.8, delta_in=1.0, delta_out=1.0, xi=0.1, eta=0.1)
@@ -207,3 +225,21 @@ class TestIntegrated:
         assert result.trace is not None and len(result.trace) == 5
         assert result.acceptance_rate is not None
         assert isinstance(result.diagnostics["mh_point"], HybridParams)
+
+
+class TestDispatcher:
+    def test_routes_to_named_estimator(self, sim_stats):
+        _, stats = sim_stats
+        mh_config = MhConfig(burn_in=50, iterations=200, thinning=50, seed=3)
+        nm_config = NelderMeadConfig(initial_point=FIXED_START)
+        assert fit(stats, "nm", mh_config, nm_config).point == fit_nelder_mead(stats, nm_config).point
+        assert fit(stats, "mh", mh_config, nm_config).point == fit_mh(stats, mh_config).point
+        assert (
+            fit(stats, "integrated", mh_config, nm_config).point
+            == fit_integrated(stats, mh_config, nm_config).point
+        )
+
+    def test_unknown_method_rejected(self, sim_stats):
+        _, stats = sim_stats
+        with pytest.raises(ValueError, match="unknown method"):
+            fit(stats, "lbfgs", MhConfig(), NelderMeadConfig(initial_point=FIXED_START))
