@@ -21,7 +21,7 @@ from .estimation import FIT_METHODS, FlatPrior, MhConfig, NelderMeadConfig, fit
 from .generator import SimulationConfig, replicate_seeds, simulate_replicates
 from .io import export, parse_edge_file
 from .likelihood import replay
-from .model import EdgeLog, EdgeRecord, HybridParams, classify_edge_log
+from .model import EdgeLog, HybridParams, classify_edge_log
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -219,28 +219,18 @@ def cmd_table(args) -> int:
 
 def cmd_ccdf(args) -> int:
     log = parse_edge_file(args.input)
-    counts = _counts_from_log(log, seeded=not args.unseeded)
+    source, target = log.source, log.target
+    if not args.unseeded:  # prepend the seed self-loop on node 1
+        source, target = np.concatenate(([1], source)), np.concatenate(([1], target))
+    ids, dense = np.unique(np.concatenate((source, target)), return_inverse=True)
+    edges = len(source)
+    out_degree = np.bincount(dense[:edges], minlength=len(ids))
+    in_degree = np.bincount(dense[edges:], minlength=len(ids))
+    counts = degree_counts_from_arrays(in_degree.tolist(), out_degree.tolist(), len(ids), edges)
     curve = ccdf(counts, args.direction)
     export(curve, Path(args.out))
     print(f"wrote {len(curve)} ccdf points to {args.out}")
     return EXIT_OK
-
-
-def _counts_from_log(log: EdgeLog, seeded: bool):
-    in_deg: dict[int, int] = {1: 1} if seeded else {}
-    out_deg: dict[int, int] = {1: 1} if seeded else {}
-    edges = 1 if seeded else 0
-    for rec in log:
-        for node in (rec.source, rec.target):
-            if node not in in_deg:
-                in_deg[node] = 0
-                out_deg[node] = 0
-        in_deg[rec.target] += 1
-        out_deg[rec.source] += 1
-        edges += 1
-    return degree_counts_from_arrays(
-        list(in_deg.values()), list(out_deg.values()), len(in_deg), edges
-    )
 
 
 def cmd_limit_pmf(args) -> int:
@@ -253,12 +243,9 @@ def cmd_limit_pmf(args) -> int:
 
 def cmd_classify(args) -> int:
     log = parse_edge_file(args.input)
-    labels = classify_edge_log(log, seeded=not args.unseeded)
-    labeled = EdgeLog(
-        [EdgeRecord(r.source, r.target, r.time, sc) for r, sc in zip(log, labels)]
-    )
-    export(labeled, Path(args.out))
-    counts = {sc: labels.count(sc) for sc in sorted(set(labels))}
+    labels = np.array(classify_edge_log(log, seeded=not args.unseeded), dtype=np.int8)
+    export(EdgeLog.from_columns(log.source, log.target, log.time, labels), Path(args.out))
+    counts = {sc: int(c) for sc, c in enumerate(np.bincount(labels, minlength=6)) if c}
     print(f"wrote labeled log to {args.out}; scenario counts: {counts}")
     return EXIT_OK
 

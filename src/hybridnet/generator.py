@@ -1,9 +1,14 @@
-"""Sequential network simulation with a reproducible PCG64 random source.
+"""Network simulation with a reproducible PCG64 random source.
 
-A single run is strictly sequential (each step conditions on the full
-history).  Replicates are embarrassingly parallel: per-replicate seeds are
-derived from the master seed with ``numpy.random.SeedSequence.spawn``, so
-results are identical for any worker count.
+The process is sequential in law: each step conditions on the full history.
+But how many uniforms a step consumes depends only on the uniforms
+themselves, never on the graph, so a run draws its whole stream in one
+block, finds where every step starts by one walk over a table of step
+lengths, and evaluates all draws as array operations; a draw that copies an
+earlier edge's endpoint is resolved by pointer jumping.  Replicates are
+embarrassingly parallel: per-replicate seeds are derived from the master
+seed with ``numpy.random.SeedSequence.spawn``, so results are identical for
+any worker count.
 """
 
 from __future__ import annotations
@@ -15,34 +20,16 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .degrees import DegreeCounts, degree_counts_from_arrays
-from .model import EdgeLog, EdgeRecord, HybridParams, NetworkState
+from .model import EdgeLog, HybridParams, NetworkState
 
-_BLOCK = 8192
-
-
-class _Uniforms:
-    """Block-buffered U(0,1) stream over a PCG64 generator.
-
-    Scalar draws from ``numpy.random.Generator`` carry call overhead that
-    dominates the simulation loop; drawing in blocks and handing out plain
-    floats is an order of magnitude faster while keeping the exact PCG64
-    stream.
-    """
-
-    __slots__ = ("_rng", "_buf", "_pos")
-
-    def __init__(self, seed: int):
-        self._rng = np.random.default_rng(seed)
-        self._buf: list[float] = []
-        self._pos = 0
-
-    def __call__(self) -> float:
-        if self._pos >= len(self._buf):
-            self._buf = self._rng.random(_BLOCK).tolist()
-            self._pos = 0
-        u = self._buf[self._pos]
-        self._pos += 1
-        return u
+# Uniforms one step consumes at most: the scenario draw plus two endpoint
+# draws of at most three uniforms each.
+_MAX_STEP = 7
+# How far past a step's start the step-length table looks: to the first
+# uniform of the second endpoint draw.
+_LOOKAHEAD = 4
+# nodes created by scenarios 1..5 (index 0 unused)
+_NEW_NODES = np.array([0, 1, 0, 1, 1, 2], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -79,8 +66,23 @@ def simulate(config: SimulationConfig) -> SimulationOutput:
     Bernoulli(p) choice between the degree-proportional and uniform parts,
     then (in the degree-proportional branch) either a uniform node (offset
     mass) or a uniform pick from the list of past edge endpoints (degree
-    mass).  This is distribution-identical to the per-node kernel and O(1)
-    per draw.  The seed edge is part of the state but not of the log.
+    mass).  This is distribution-identical to the per-node kernel.  The seed
+    edge is part of the state but not of the log.
+
+    Each step reads its uniforms in a fixed order from one PCG64 stream: the
+    scenario draw, then the out-draw (scenarios 2 and 3), then the in-draw
+    (scenarios 1 and 2); an endpoint draw reads three uniforms when its first
+    is below ``p`` and two otherwise.  Step lengths therefore follow from the
+    stream alone.  The run draws ``7 n`` uniforms at once, tabulates the step
+    length at every stream position, and walks the table once to find each
+    step's start.  Node counts before each step are a cumulative sum of the
+    new-node counts and the degree mass before step ``k`` is ``k``, so every
+    comparison and pick is one float64 array operation, bit-identical to the
+    scalar one.  A degree-mass draw copies the endpoint of an earlier edge;
+    those copies are resolved by pointer jumping (Sanders & Schulz, IPL
+    116(7), 2016), which needs a number of rounds logarithmic in the longest
+    copy chain.  A seed therefore maps to the same sample as a step-by-step
+    simulation consuming the same stream.
     """
     pr = config.params
     t1 = pr.alpha
@@ -98,92 +100,123 @@ def simulate(config: SimulationConfig) -> SimulationOutput:
             t2 = t3 = t4 = 1.0
         else:
             t1 = t2 = t3 = t4 = 1.0
-    p, din, dout = pr.p, pr.delta_in, pr.delta_out
-    label = config.log_scenarios
+    n = config.n_edges
+    span = _MAX_STEP * n
+    u = np.random.default_rng(config.seed).random(span + _LOOKAHEAD)
 
-    u = _Uniforms(config.seed)
-    in_degree = [1]
-    out_degree = [1]
-    creation = [0]
-    in_targets = [1]  # one entry per edge: its target (seed included)
-    out_sources = [1]
-    nodes = 1
-    mass = 1  # edges currently in the graph
-    records: list[EdgeRecord] = []
-    snapshots: list[DegreeCounts] = []
-    snap_steps = list(config.snapshot_steps or ())
-    snap_pos = 0
+    # the step length as if a step started at each stream position: the
+    # scenario draw, then no, one or (scenario 2) two endpoint draws
+    w = u[:span]
+    below_t1, below_t2 = w < t1, w < t2
+    draw_len = (u < pr.p).astype(np.uint8) + 2  # uniforms of an endpoint draw starting here
+    first_draw = draw_len[1 : span + 1]
+    step_len = np.where(below_t1 | below_t2 | (w < t3), first_draw + 1, 1).astype(np.uint8)
+    both = np.flatnonzero(below_t2 & ~below_t1)
+    step_len[both] += draw_len[both + 1 + first_draw[both]]
+    starts = np.array(_walk(step_len.tobytes(), n), dtype=np.int64)
 
-    def draw_in() -> int:
-        if u() < p:
-            if u() * (mass + din * nodes) < din * nodes:
-                return int(u() * nodes) + 1
-            return in_targets[int(u() * mass)]
-        return int(u() * nodes) + 1
+    w = u[starts]
+    sc = np.select([w < t1, w < t2, w < t3, w < t4], [1, 2, 3, 4], 5).astype(np.int8)
+    new = _NEW_NODES[sc]
+    nodes_after = 1 + np.cumsum(new)
+    nodes = nodes_after - new  # vertex count before each step
+    source = nodes + 1  # the first fresh node; endpoint draws overwrite it
+    target = source + (sc == 5)
+    source_ptr = np.zeros(n, dtype=np.int64)
+    target_ptr = np.zeros(n, dtype=np.int64)
 
-    def draw_out() -> int:
-        if u() < p:
-            if u() * (mass + dout * nodes) < dout * nodes:
-                return int(u() * nodes) + 1
-            return out_sources[int(u() * mass)]
-        return int(u() * nodes) + 1
+    out_steps = np.flatnonzero((sc == 2) | (sc == 3))
+    out_pos = starts[out_steps] + 1
+    _endpoint_draws(u, out_pos, out_steps, nodes, pr.p, pr.delta_out, source, source_ptr)
+    in_steps = np.flatnonzero(sc <= 2)
+    in_pos = starts[in_steps] + 1
+    in_pos += np.where(sc[in_steps] == 2, draw_len[in_pos], 0)  # after the out-draw
+    _endpoint_draws(u, in_pos, in_steps, nodes, pr.p, pr.delta_in, target, target_ptr)
+    source = _resolve(source, source_ptr)
+    target = _resolve(target, target_ptr)
 
-    for k in range(1, config.n_edges + 1):
-        w = u()
-        if w < t1:  # new source -> existing target
-            tgt = draw_in()
-            nodes += 1
-            src = nodes
-            in_degree.append(0)
-            out_degree.append(0)
-            creation.append(k)
-            sc = 1
-        elif w < t2:  # both endpoints existing (self-loop possible)
-            src = draw_out()
-            tgt = draw_in()
-            sc = 2
-        elif w < t3:  # existing source -> new target
-            src = draw_out()
-            nodes += 1
-            tgt = nodes
-            in_degree.append(0)
-            out_degree.append(0)
-            creation.append(k)
-            sc = 3
-        elif w < t4:  # fresh self-looped node
-            nodes += 1
-            src = tgt = nodes
-            in_degree.append(0)
-            out_degree.append(0)
-            creation.append(k)
-            sc = 4
-        else:  # two fresh nodes, one edge between them
-            nodes += 1
-            src = nodes
-            nodes += 1
-            tgt = nodes
-            in_degree.extend((0, 0))
-            out_degree.extend((0, 0))
-            creation.extend((k, k))
-            sc = 5
-        in_degree[tgt - 1] += 1
-        out_degree[src - 1] += 1
-        in_targets.append(tgt)
-        out_sources.append(src)
-        mass += 1
-        records.append(EdgeRecord(src, tgt, k, sc if label else None))
-        if snap_pos < len(snap_steps) and k == snap_steps[snap_pos]:
-            snapshots.append(degree_counts_from_arrays(in_degree, out_degree, nodes, mass))
-            snap_pos += 1
-
+    node_count = int(nodes_after[-1])
+    in_degree = np.bincount(target, minlength=node_count + 1)
+    out_degree = np.bincount(source, minlength=node_count + 1)
+    in_degree[1] += 1  # the seed self-loop
+    out_degree[1] += 1
+    creation = np.repeat(np.arange(n + 1, dtype=np.int64), np.concatenate(([1], new)))
     state = NetworkState(
-        node_count=nodes,
-        step=config.n_edges,
-        in_degree=in_degree,
-        out_degree=out_degree,
-        creation_step=creation,
+        node_count=node_count,
+        step=n,
+        in_degree=in_degree[1:].tolist(),
+        out_degree=out_degree[1:].tolist(),
+        creation_step=creation.tolist(),
     )
-    return SimulationOutput(state, EdgeLog(records), snapshots)
+    time = np.arange(1, n + 1, dtype=np.int64)
+    log = EdgeLog.from_columns(source, target, time, sc if config.log_scenarios else None)
+    snapshots = _snapshots(source, target, nodes_after, config.snapshot_steps or ())
+    return SimulationOutput(state, log, snapshots)
+
+
+def _walk(step_len: bytes, n: int) -> list[int]:
+    """Stream positions of the first ``n`` step starts, from position 0."""
+    starts = []
+    pos = 0
+    for _ in range(n):
+        starts.append(pos)
+        pos += step_len[pos]
+    return starts
+
+
+def _endpoint_draws(u, pos, steps, nodes, p, delta, value, pointer) -> None:
+    """Evaluate the endpoint draws that start at stream positions ``pos`` for
+    the (0-based) steps ``steps``.
+
+    A uniform-node draw writes its node id to ``value``; a degree-mass draw
+    writes 0 there and the index of the copied edge (0 is the seed edge, k
+    is step k) to ``pointer``.
+    """
+    v = nodes[steps].astype(np.float64)
+    mass = (steps + 1).astype(np.float64)  # edges in the graph before the step
+    proportional = u[pos] < p
+    test = u[pos + 1]
+    pick = np.where(proportional, u[pos + 2], test)
+    dv = delta * v
+    uniform = ~proportional | (test * (mass + dv) < dv)
+    value[steps] = np.where(uniform, (pick * v).astype(np.int64) + 1, 0)
+    pointer[steps] = (pick * mass).astype(np.int64)
+
+
+def _resolve(value: np.ndarray, pointer: np.ndarray) -> np.ndarray:
+    """Endpoints of the seed edge and steps 1..n, where a 0 in ``value`` copies
+    the endpoint of edge ``pointer``, an earlier edge, by pointer jumping."""
+    value = np.concatenate(([1], value))  # the seed edge is 1 -> 1
+    jump = np.concatenate(([0], pointer))
+    pending = np.flatnonzero(value == 0)
+    while pending.size:
+        nxt = jump[pending]
+        found = value[nxt]
+        hit = found > 0
+        value[pending[hit]] = found[hit]
+        pending = pending[~hit]
+        jump[pending] = jump[nxt[~hit]]
+    return value[1:]
+
+
+def _snapshots(source, target, nodes_after, steps) -> list[DegreeCounts]:
+    """Degree histograms after each listed step, by incremental bincounts."""
+    in_degree = np.zeros(int(nodes_after[-1]) + 1, dtype=np.int64)
+    out_degree = np.zeros_like(in_degree)
+    in_degree[1] = out_degree[1] = 1  # the seed self-loop
+    done = 0
+    snapshots = []
+    for k in steps:
+        size = int(nodes_after[k - 1]) + 1
+        in_degree[:size] += np.bincount(target[done:k], minlength=size)
+        out_degree[:size] += np.bincount(source[done:k], minlength=size)
+        done = k
+        snapshots.append(
+            degree_counts_from_arrays(
+                in_degree[1:size].tolist(), out_degree[1:size].tolist(), size - 1, k + 1
+            )
+        )
+    return snapshots
 
 
 def replicate_seeds(master_seed: int, r: int) -> list[int]:

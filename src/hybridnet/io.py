@@ -13,9 +13,13 @@ import json
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .degrees import DegreeCounts, LimitPmf
 from .estimation import EstimationResult
-from .model import EdgeLog, EdgeRecord
+from .model import EdgeLog
+
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 def _cell(x) -> str:
@@ -27,32 +31,47 @@ def _cell(x) -> str:
 
 
 def parse_edge_file(path) -> EdgeLog:
-    """Read an edge list, stably sorted by timestamp; node ids are preserved."""
+    """Read an edge list, stably sorted by timestamp; node ids are preserved.
+
+    Every value must fit in int64; a line that breaks a rule raises
+    ``ValueError`` naming the file and line number.
+    """
     lines = Path(path).read_text().splitlines()
-    records: list[EdgeRecord] = []
+    sources: list[int] = []
+    targets: list[int] = []
+    times: list[int] = []
+    scenarios: list[int] = []
     for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("%"):
+        fields = line.split()
+        if not fields or fields[0].startswith("%"):
             continue
-        fields = stripped.split()
         if not 2 <= len(fields) <= 4:
             raise ValueError(f"{path}:{lineno}: expected 2-4 integer fields, got {len(fields)}")
         try:
             values = [int(f) for f in fields]
         except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: non-integer field in {stripped!r}") from exc
+            raise ValueError(f"{path}:{lineno}: non-integer field in {line.strip()!r}") from exc
         source, target = values[0], values[1]
         if source < 1 or target < 1:
             raise ValueError(f"{path}:{lineno}: node ids must be positive")
-        time = values[2] if len(values) >= 3 else len(records)
-        scenario = values[3] if len(values) == 4 else None
-        if scenario is not None and scenario not in (1, 2, 3, 4, 5):
+        if max(values) > _INT64_MAX or min(values) < _INT64_MIN:
+            raise ValueError(f"{path}:{lineno}: integer outside the int64 range")
+        scenario = values[3] if len(values) == 4 else 0
+        if len(values) == 4 and scenario not in (1, 2, 3, 4, 5):
             raise ValueError(f"{path}:{lineno}: scenario label must be in 1..5")
-        records.append(EdgeRecord(source, target, time, scenario))
-    if not records:
+        times.append(values[2] if len(values) >= 3 else len(times))
+        sources.append(source)
+        targets.append(target)
+        scenarios.append(scenario)
+    if not times:
         raise ValueError(f"{path}: no edge records found")
-    records.sort(key=lambda rec: rec.time)  # stable: ties keep input order
-    return EdgeLog(records)
+    columns = [np.array(col, dtype=np.int64) for col in (sources, targets, times)]
+    columns.append(np.array(scenarios, dtype=np.int8))
+    time = columns[2]
+    if np.any(time[1:] < time[:-1]):
+        order = np.argsort(time, kind="stable")  # ties keep input order
+        columns = [col[order] for col in columns]
+    return EdgeLog.from_columns(*columns)
 
 
 def window(log: EdgeLog, t_start: int, t_end: int) -> tuple[EdgeLog, dict[int, int]]:
@@ -66,18 +85,18 @@ def window(log: EdgeLog, t_start: int, t_end: int) -> tuple[EdgeLog, dict[int, i
     """
     if t_start > t_end:
         raise ValueError(f"empty window: t_start={t_start} > t_end={t_end}")
+    selected = (log.time >= t_start) & (log.time <= t_end)
+    if not selected.any():
+        raise ValueError(f"window [{t_start}, {t_end}] selects no records")
     mapping: dict[int, int] = {}
-    records: list[EdgeRecord] = []
-    for rec in log:
-        if not t_start <= rec.time <= t_end:
-            continue
-        for node in (rec.source, rec.target):
+    relabeled: list[int] = []
+    for source, target in zip(log.source[selected].tolist(), log.target[selected].tolist()):
+        for node in (source, target):
             if node not in mapping:
                 mapping[node] = len(mapping) + 1
-        records.append(EdgeRecord(mapping[rec.source], mapping[rec.target], rec.time, None))
-    if not records:
-        raise ValueError(f"window [{t_start}, {t_end}] selects no records")
-    return EdgeLog(records), mapping
+            relabeled.append(mapping[node])
+    ends = np.array(relabeled, dtype=np.int64)
+    return EdgeLog.from_columns(ends[0::2], ends[1::2], log.time[selected]), mapping
 
 
 # ---------------------------------------------------------------------------
@@ -130,13 +149,18 @@ def export(obj, path, format: str = "csv") -> None:
 
 
 def _write_edge_log(log: EdgeLog, path: Path) -> None:
-    lines = []
-    for rec in log:
-        cols = [str(rec.source), str(rec.target), str(rec.time)]
-        if rec.scenario is not None:
-            cols.append(str(rec.scenario))
-        lines.append(" ".join(cols))
-    path.write_text("\n".join(lines) + "\n")
+    labelled = log.scenario != 0
+    columns = [log.source, log.target, log.time]
+    if labelled.all():
+        columns.append(log.scenario)
+    elif labelled.any():  # mixed: write a label only where there is one
+        rows = zip(*(col.tolist() for col in (*columns, log.scenario)))
+        path.write_text(
+            "".join(f"{s} {t} {tm} {sc}\n" if sc else f"{s} {t} {tm}\n" for s, t, tm, sc in rows)
+        )
+        return
+    row = " ".join(["%d"] * len(columns)) + "\n"
+    path.write_text(row * len(log) % tuple(np.column_stack(columns).ravel().tolist()) or "\n")
 
 
 def _write_rows(rows, header: Sequence[str], path: Path, format: str) -> None:

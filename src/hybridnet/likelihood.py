@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .degrees import DegreeCounts, strict_tail_fractions
-from .model import EdgeLog, HybridParams, classify_scenario
+from .model import EdgeLog, HybridParams, classify_endpoints
 
 
 class BracketingError(RuntimeError):
@@ -79,52 +79,46 @@ def replay(log: EdgeLog, seeded: bool = True) -> SufficientStats:
     Scenario labels present on records are validated against the replayed
     classification; timestamps must be nondecreasing.
     """
-    n = len(log)
-    scenario = np.zeros(n, dtype=np.int8)
-    d_in = np.full(n, -1, dtype=np.int64)
-    d_out = np.full(n, -1, dtype=np.int64)
-    v_count = np.zeros(n, dtype=np.int64)
-    mass = np.zeros(n, dtype=np.int64)
-
+    scenario: list[int] = []
+    d_in: list[int] = []
+    d_out: list[int] = []
+    v_count: list[int] = []
     in_deg: dict[int, int] = {}
     out_deg: dict[int, int] = {}
     if seeded:
         in_deg[1] = 1
         out_deg[1] = 1
-    edges = 1 if seeded else 0
     prev_time = None
 
-    for k, rec in enumerate(log):
-        if prev_time is not None and rec.time < prev_time:
-            raise ValueError(f"record {k}: timestamps decrease ({rec.time} after {prev_time})")
-        prev_time = rec.time
-        sc = classify_scenario(in_deg.keys(), rec)
-        if rec.scenario is not None and rec.scenario != sc:
+    columns = (log.source, log.target, log.time, log.scenario)
+    for k, (source, target, time, label) in enumerate(zip(*(col.tolist() for col in columns))):
+        if prev_time is not None and time < prev_time:
+            raise ValueError(f"record {k}: timestamps decrease ({time} after {prev_time})")
+        prev_time = time
+        sc = classify_endpoints(in_deg, source, target)
+        if label and label != sc:
             raise ValueError(
-                f"record {k}: scenario label {rec.scenario} inconsistent with "
+                f"record {k}: scenario label {label} inconsistent with "
                 f"replayed classification {sc} (endpoint never appeared?)"
             )
-        scenario[k] = sc
-        v_count[k] = len(in_deg)
-        mass[k] = edges
-        if sc in (1, 2):
-            d_in[k] = in_deg[rec.target]
-        if sc in (2, 3):
-            d_out[k] = out_deg[rec.source]
-        for node in (rec.source, rec.target):
+        scenario.append(sc)
+        v_count.append(len(in_deg))
+        d_in.append(in_deg[target] if sc <= 2 else -1)
+        d_out.append(out_deg[source] if 2 <= sc <= 3 else -1)
+        for node in (source, target):
             if node not in in_deg:
                 in_deg[node] = 0
                 out_deg[node] = 0
-        in_deg[rec.target] += 1
-        out_deg[rec.source] += 1
-        edges += 1
+        in_deg[target] += 1
+        out_deg[source] += 1
 
     return SufficientStats(
-        scenario=scenario,
-        target_in_degree=d_in,
-        source_out_degree=d_out,
-        node_count=v_count,
-        mass=mass,
+        scenario=np.array(scenario, dtype=np.int8),
+        target_in_degree=np.array(d_in, dtype=np.int64),
+        source_out_degree=np.array(d_out, dtype=np.int64),
+        node_count=np.array(v_count, dtype=np.int64),
+        # the degree mass before each step: the seed edge plus the earlier records
+        mass=np.arange(len(scenario), dtype=np.int64) + (1 if seeded else 0),
         seeded=seeded,
     )
 

@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
+import numpy as np
+
 _SIMPLEX_TOL = 1e-12
 
 
@@ -170,20 +172,77 @@ class NetworkState:
             )
 
 
-@dataclass
 class EdgeLog:
-    """Ordered list of edge records, sorted by time (ties keep input order)."""
+    """Edge records as four numpy columns, sorted by time (ties keep input order).
 
-    records: list[EdgeRecord]
+    ``source``, ``target`` and ``time`` are int64 arrays; ``scenario`` is an
+    int8 array in which 0 means unlabelled.  Producers build a log straight
+    from the columns with :meth:`from_columns`; ``EdgeLog(records)`` builds
+    one from :class:`EdgeRecord` rows and rejects integers outside int64.
+    ``len``, iteration, integer indexing and :attr:`records` present the rows
+    as ``EdgeRecord`` values, with scenario ``None`` for 0.
+    """
+
+    __slots__ = ("source", "target", "time", "scenario")
+
+    def __init__(self, records: Iterable[EdgeRecord] = ()):
+        rows = list(records)
+        source, target, time, scenario = zip(*rows) if rows else ((), (), (), ())
+        try:
+            self._set_columns(
+                np.array(source, dtype=np.int64),
+                np.array(target, dtype=np.int64),
+                np.array(time, dtype=np.int64),
+                np.array([0 if sc is None else sc for sc in scenario], dtype=np.int8),
+            )
+        except OverflowError as exc:
+            raise ValueError(f"edge record field out of range: {exc}") from exc
+
+    @classmethod
+    def from_columns(cls, source, target, time, scenario=None) -> "EdgeLog":
+        """Wrap columns without copying those that already have the right dtype;
+        ``scenario=None`` leaves every record unlabelled."""
+        log = cls.__new__(cls)
+        time = np.asarray(time, dtype=np.int64)
+        if scenario is None:
+            scenario = np.zeros(time.shape, dtype=np.int8)
+        log._set_columns(
+            np.asarray(source, dtype=np.int64),
+            np.asarray(target, dtype=np.int64),
+            time,
+            np.asarray(scenario, dtype=np.int8),
+        )
+        return log
+
+    def _set_columns(self, source, target, time, scenario) -> None:
+        shapes = {col.shape for col in (source, target, time, scenario)}
+        if len(shapes) != 1 or source.ndim != 1:
+            raise ValueError(f"edge log columns must be 1-d and of one length, got {shapes}")
+        self.source, self.target, self.time, self.scenario = source, target, time, scenario
 
     def __len__(self) -> int:
-        return len(self.records)
+        return int(self.time.shape[0])
 
     def __iter__(self) -> Iterator[EdgeRecord]:
-        return iter(self.records)
+        columns = (self.source, self.target, self.time, self.scenario)
+        for s, t, tm, sc in zip(*(col.tolist() for col in columns)):
+            yield EdgeRecord(s, t, tm, sc or None)
 
-    def __getitem__(self, idx):
-        return self.records[idx]
+    def __getitem__(self, idx: int) -> EdgeRecord:
+        sc = int(self.scenario[idx])
+        return EdgeRecord(int(self.source[idx]), int(self.target[idx]), int(self.time[idx]), sc or None)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, EdgeLog):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, c), getattr(other, c)) for c in self.__slots__)
+
+    def __repr__(self) -> str:
+        return f"EdgeLog(<{len(self)} records>)"
+
+    @property
+    def records(self) -> list[EdgeRecord]:
+        return list(self)
 
 
 def _check_node(state: NetworkState, node: int) -> None:
@@ -252,23 +311,27 @@ def step_distribution(
     return dist
 
 
+def classify_endpoints(known, source: int, target: int) -> int:
+    """Scenario label of a ``source -> target`` edge given the set ``known`` of
+    vertices present before it."""
+    if source < 1 or target < 1:
+        raise ValueError(f"node ids must be positive, got {source}, {target}")
+    src_new = source not in known
+    tgt_new = target not in known
+    if not src_new:
+        return 3 if tgt_new else 2
+    if not tgt_new:
+        return 1
+    return 4 if source == target else 5
+
+
 def classify_scenario(previous_nodes: Iterable[int], record: EdgeRecord) -> int:
     """Recover the scenario label of a record from endpoint novelty.
 
     ``previous_nodes`` is the vertex set before the record's edge was added.
     """
-    if record.source < 1 or record.target < 1:
-        raise ValueError(f"node ids must be positive, got {record.source}, {record.target}")
     known = previous_nodes if hasattr(previous_nodes, "__contains__") else set(previous_nodes)
-    src_new = record.source not in known
-    tgt_new = record.target not in known
-    if not src_new and not tgt_new:
-        return 2
-    if src_new and not tgt_new:
-        return 1
-    if not src_new and tgt_new:
-        return 3
-    return 4 if record.source == record.target else 5
+    return classify_endpoints(known, record.source, record.target)
 
 
 def classify_edge_log(log: EdgeLog, seeded: bool = True) -> list[int]:
@@ -280,8 +343,8 @@ def classify_edge_log(log: EdgeLog, seeded: bool = True) -> list[int]:
     """
     known: set[int] = {1} if seeded else set()
     labels = []
-    for rec in log:
-        labels.append(classify_scenario(known, rec))
-        known.add(rec.source)
-        known.add(rec.target)
+    for source, target in zip(log.source.tolist(), log.target.tolist()):
+        labels.append(classify_endpoints(known, source, target))
+        known.add(source)
+        known.add(target)
     return labels

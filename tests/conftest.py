@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from hybridnet import (
@@ -8,9 +9,11 @@ from hybridnet import (
     HybridParams,
     NetworkState,
     SimulationConfig,
+    SimulationOutput,
     simulate,
     step_distribution,
 )
+from hybridnet.degrees import degree_counts_from_arrays
 
 
 @pytest.fixture
@@ -71,3 +74,139 @@ def enumerate_histories(params, length):
     total = sum(p for _, p in out)
     assert math.isfinite(total)
     return out
+
+
+_BLOCK = 8192
+
+
+class _Uniforms:
+    """Block-buffered U(0,1) stream over a PCG64 generator.
+
+    Scalar draws from ``numpy.random.Generator`` carry call overhead that
+    dominates the simulation loop; drawing in blocks and handing out plain
+    floats is an order of magnitude faster while keeping the exact PCG64
+    stream.
+    """
+
+    __slots__ = ("_rng", "_buf", "_pos")
+
+    def __init__(self, seed: int):
+        self._rng = np.random.default_rng(seed)
+        self._buf: list[float] = []
+        self._pos = 0
+
+    def __call__(self) -> float:
+        if self._pos >= len(self._buf):
+            self._buf = self._rng.random(_BLOCK).tolist()
+            self._pos = 0
+        u = self._buf[self._pos]
+        self._pos += 1
+        return u
+
+
+def reference_simulate(config):
+    """The step-by-step simulator that ``simulate`` replaced: one scalar loop
+    over the edges, reading the PCG64 stream one uniform at a time.  Kept as
+    the bit-identity oracle for ``simulate``."""
+    pr = config.params
+    t1 = pr.alpha
+    t2 = t1 + pr.beta
+    t3 = t2 + pr.gamma
+    t4 = t3 + pr.xi
+    # saturate the last positive band so cumulative rounding can never leak
+    # a draw into a zero-probability scenario
+    if pr.eta == 0.0:
+        if pr.xi > 0.0:
+            t4 = 1.0
+        elif pr.gamma > 0.0:
+            t3 = t4 = 1.0
+        elif pr.beta > 0.0:
+            t2 = t3 = t4 = 1.0
+        else:
+            t1 = t2 = t3 = t4 = 1.0
+    p, din, dout = pr.p, pr.delta_in, pr.delta_out
+    label = config.log_scenarios
+
+    u = _Uniforms(config.seed)
+    in_degree = [1]
+    out_degree = [1]
+    creation = [0]
+    in_targets = [1]  # one entry per edge: its target (seed included)
+    out_sources = [1]
+    nodes = 1
+    mass = 1  # edges currently in the graph
+    records = []
+    snapshots = []
+    snap_steps = list(config.snapshot_steps or ())
+    snap_pos = 0
+
+    def draw_in() -> int:
+        if u() < p:
+            if u() * (mass + din * nodes) < din * nodes:
+                return int(u() * nodes) + 1
+            return in_targets[int(u() * mass)]
+        return int(u() * nodes) + 1
+
+    def draw_out() -> int:
+        if u() < p:
+            if u() * (mass + dout * nodes) < dout * nodes:
+                return int(u() * nodes) + 1
+            return out_sources[int(u() * mass)]
+        return int(u() * nodes) + 1
+
+    for k in range(1, config.n_edges + 1):
+        w = u()
+        if w < t1:  # new source -> existing target
+            tgt = draw_in()
+            nodes += 1
+            src = nodes
+            in_degree.append(0)
+            out_degree.append(0)
+            creation.append(k)
+            sc = 1
+        elif w < t2:  # both endpoints existing (self-loop possible)
+            src = draw_out()
+            tgt = draw_in()
+            sc = 2
+        elif w < t3:  # existing source -> new target
+            src = draw_out()
+            nodes += 1
+            tgt = nodes
+            in_degree.append(0)
+            out_degree.append(0)
+            creation.append(k)
+            sc = 3
+        elif w < t4:  # fresh self-looped node
+            nodes += 1
+            src = tgt = nodes
+            in_degree.append(0)
+            out_degree.append(0)
+            creation.append(k)
+            sc = 4
+        else:  # two fresh nodes, one edge between them
+            nodes += 1
+            src = nodes
+            nodes += 1
+            tgt = nodes
+            in_degree.extend((0, 0))
+            out_degree.extend((0, 0))
+            creation.extend((k, k))
+            sc = 5
+        in_degree[tgt - 1] += 1
+        out_degree[src - 1] += 1
+        in_targets.append(tgt)
+        out_sources.append(src)
+        mass += 1
+        records.append(EdgeRecord(src, tgt, k, sc if label else None))
+        if snap_pos < len(snap_steps) and k == snap_steps[snap_pos]:
+            snapshots.append(degree_counts_from_arrays(in_degree, out_degree, nodes, mass))
+            snap_pos += 1
+
+    state = NetworkState(
+        node_count=nodes,
+        step=config.n_edges,
+        in_degree=in_degree,
+        out_degree=out_degree,
+        creation_step=creation,
+    )
+    return SimulationOutput(state, EdgeLog(records), snapshots)

@@ -242,3 +242,43 @@ class TestCurveCommands:
         assert code == 0
         labeled = parse_edge_file(labeled_path)
         assert [r.scenario for r in labeled] == [r.scenario for r in original]
+
+
+class TestLargeIds:
+    """Sparse ids near 10**12: ``a -> b``, ``c -> b``, ``b -> a``."""
+
+    BASE = 10**12
+
+    @pytest.fixture
+    def sparse_log(self, tmp_path):
+        a, b, c = self.BASE + 7, self.BASE + 3, self.BASE + 11
+        path = tmp_path / "sparse.edges"
+        path.write_text(f"{a} {b} 1\n{c} {b} 2\n{b} {a} 3\n")
+        return path
+
+    def test_ccdf_counts_per_node(self, sparse_log, tmp_path):
+        out = tmp_path / "ccdf.csv"
+        # in-degrees a: 1, b: 2, c: 0
+        assert run(["ccdf", "--input", str(sparse_log), "--unseeded", "--out", str(out)]) == 0
+        assert out.read_text() == f"m,value\n0,{2 / 3:.17g}\n1,{1 / 3:.17g}\n"
+        # the seed node 1 adds one node of in-degree 1
+        assert run(["ccdf", "--input", str(sparse_log), "--out", str(out)]) == 0
+        assert out.read_text() == f"m,value\n0,{3 / 4:.17g}\n1,{1 / 4:.17g}\n"
+        # out-degrees a: 1, b: 1, c: 1
+        assert run(["ccdf", "--input", str(sparse_log), "--unseeded", "--direction", "out",
+                    "--out", str(out)]) == 0
+        assert out.read_text() == "m,value\n0,1\n"
+
+    def test_classify_labels_and_counts(self, sparse_log, tmp_path, capsys):
+        a, b, c = self.BASE + 7, self.BASE + 3, self.BASE + 11
+        out = tmp_path / "labeled.edges"
+        assert run(["classify", "--input", str(sparse_log), "--out", str(out)]) == 0
+        assert out.read_text() == f"{a} {b} 1 5\n{c} {b} 2 1\n{b} {a} 3 2\n"
+        assert "scenario counts: {1: 1, 2: 1, 5: 1}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["fit", "ccdf", "classify"])
+    def test_beyond_int64_exits_validation(self, tmp_path, command, capsys):
+        path = tmp_path / "big.edges"
+        path.write_text(f"1 2 1\n{2**63} 2 2\n")
+        assert run([command, "--input", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert ":2: integer outside the int64 range" in capsys.readouterr().err

@@ -10,7 +10,7 @@ from hybridnet import (
     simulate,
     simulate_replicates,
 )
-from conftest import enumerate_histories
+from conftest import enumerate_histories, reference_simulate
 
 
 @pytest.fixture
@@ -120,3 +120,50 @@ class TestReplicates:
     def test_replicate_count_validated(self, base_params):
         with pytest.raises(ValueError, match="replicate count"):
             simulate_replicates(SimulationConfig(params=base_params, n_edges=10), 0)
+
+
+ORACLE_SETTINGS = {
+    "table1": HybridParams.fill_gamma(0.1, 0.8, p=0.8, delta_in=1.3, delta_out=0.7),
+    "node_heavy": HybridParams.fill_gamma(0.45, 0.1, p=0.6, delta_in=1.3, delta_out=0.7),
+    "extended": HybridParams.fill_gamma(0.1, 0.7, p=0.8, delta_in=1.3, delta_out=0.7, xi=0.05, eta=0.05),
+    "xi_one": HybridParams(alpha=0, beta=0, gamma=0, xi=1.0, eta=0, p=0.5, delta_in=1, delta_out=1),
+    "eta_one": HybridParams(alpha=0, beta=0, gamma=0, xi=0, eta=1.0, p=0.5, delta_in=1, delta_out=1),
+    "beta_zero": HybridParams.fill_gamma(0.3, 0.0, p=0.5, delta_in=1.0, delta_out=2.0),
+    "p_zero": HybridParams.fill_gamma(0.3, 0.4, p=0.0, delta_in=1.0, delta_out=1.0),
+    "p_one": HybridParams.fill_gamma(0.3, 0.4, p=1.0, delta_in=0.1, delta_out=5.0),
+}
+
+
+def _assert_same_run(config):
+    fast, slow = simulate(config), reference_simulate(config)
+    assert fast.state == slow.state
+    assert fast.log.records == slow.log.records
+    assert fast.snapshots == slow.snapshots
+
+
+class TestStreamExactness:
+    """``simulate`` consumes the PCG64 stream exactly like the step-by-step
+    reference loop, so every seed gives the same state, log and snapshots."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_SETTINGS))
+    def test_matches_reference_loop(self, name):
+        params = ORACLE_SETTINGS[name]
+        for seed in [*range(40), 2**100 + 7]:
+            for n in (1, 2, 3, 17, 1000):
+                config = SimulationConfig(
+                    params=params,
+                    n_edges=n,
+                    seed=seed,
+                    log_scenarios=seed % 2 == 0,
+                    snapshot_steps=sorted({1, (n + 1) // 2, n}),
+                )
+                _assert_same_run(config)
+
+    def test_matches_reference_loop_long_run(self):
+        config = SimulationConfig(
+            params=ORACLE_SETTINGS["node_heavy"],
+            n_edges=120_000,
+            seed=2**100 + 7,
+            snapshot_steps=[50_000, 120_000],
+        )
+        _assert_same_run(config)

@@ -235,3 +235,33 @@ def test_parse_export_identity_property(tmp_path_factory, pairs, times):
     path = tmp_path_factory.mktemp("roundtrip") / "log.edges"
     export(log, path)
     assert parse_edge_file(path).records == log.records
+
+
+class TestInt64Range:
+    def test_value_beyond_int64_reports_lineno(self, tmp_path):
+        path = tmp_path / "e.txt"
+        path.write_text(f"1 2 3\n% comment\n1 2 {2**63}\n")
+        with pytest.raises(ValueError, match=r":3: integer outside the int64 range"):
+            parse_edge_file(path)
+        path.write_text(f"1 {2**63} 3\n")
+        with pytest.raises(ValueError, match=":1:"):
+            parse_edge_file(path)
+
+    def test_int64_extremes_parse(self, tmp_path):
+        path = tmp_path / "e.txt"
+        path.write_text(f"{2**63 - 1} 2 {-(2**63)}\n")
+        assert parse_edge_file(path).records == [EdgeRecord(2**63 - 1, 2, -(2**63), None)]
+
+    def test_large_ids_round_trip(self, tmp_path):
+        base = 10**12
+        log = EdgeLog([EdgeRecord(base + 7, base + 3, 1, 5), EdgeRecord(base + 11, base + 3, 2, 1)])
+        path = tmp_path / "log.edges"
+        export(log, path)
+        assert path.read_text() == f"{base + 7} {base + 3} 1 5\n{base + 11} {base + 3} 2 1\n"
+        assert parse_edge_file(path).records == log.records
+
+
+def test_export_mixed_labels(tmp_path):
+    path = tmp_path / "log.edges"
+    export(EdgeLog([EdgeRecord(2, 1, 1, 1), EdgeRecord(1, 1, 2)]), path)
+    assert path.read_text() == "2 1 1 1\n1 1 2\n"

@@ -1,10 +1,13 @@
 import math
+import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridnet import (
+    EdgeLog,
     EdgeRecord,
     HybridParams,
     NetworkState,
@@ -182,3 +185,35 @@ class TestClassifyScenario:
         th = HybridParams.fill_gamma(0.2, 0.4, p=0.5, delta_in=1.0, delta_out=1.0, xi=0.1, eta=0.1)
         _, log = small_simulated_state(th, 500, seed=11)
         assert classify_edge_log(log) == [rec.scenario for rec in log]
+
+
+class TestEdgeLog:
+    def test_columns_and_rows(self):
+        log = EdgeLog([EdgeRecord(3, 1, 5, 1), EdgeRecord(1, 1, 6)])
+        assert log.source.dtype == np.int64 and log.scenario.dtype == np.int8
+        assert log.scenario.tolist() == [1, 0]
+        assert len(log) == 2
+        assert log[0] == EdgeRecord(3, 1, 5, 1)
+        assert log[-1] == EdgeRecord(1, 1, 6, None)
+        assert list(log) == log.records == [EdgeRecord(3, 1, 5, 1), EdgeRecord(1, 1, 6, None)]
+
+    def test_from_columns_equals_record_build(self):
+        log = EdgeLog.from_columns([3, 1], [1, 1], [5, 6], [1, 0])
+        assert log == EdgeLog([EdgeRecord(3, 1, 5, 1), EdgeRecord(1, 1, 6)])
+        assert EdgeLog.from_columns([3], [1], [5]).records == [EdgeRecord(3, 1, 5, None)]
+        assert len(EdgeLog()) == 0
+
+    def test_mismatched_columns_rejected(self):
+        with pytest.raises(ValueError, match="one length"):
+            EdgeLog.from_columns([1, 2], [1], [1, 2])
+
+    def test_values_outside_int64_rejected(self):
+        with pytest.raises(ValueError, match="out of range"):
+            EdgeLog([EdgeRecord(2**63, 1, 1)])
+        with pytest.raises(ValueError, match="out of range"):
+            EdgeLog([EdgeRecord(1, 1, -(2**63) - 1)])
+        assert EdgeLog([EdgeRecord(2**63 - 1, 1, -(2**63))])[0].source == 2**63 - 1
+
+    def test_pickle_round_trip(self):
+        log = EdgeLog([EdgeRecord(3, 1, 5, 1), EdgeRecord(1, 1, 6)])
+        assert pickle.loads(pickle.dumps(log)) == log

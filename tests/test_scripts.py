@@ -23,3 +23,15 @@ def test_run_bias_table_smoke(tmp_path):
     assert settings == 9
     assert len(rows) == settings * 2 * 8
     assert {row[3] for row in rows} == {"nm", "mh"}
+
+
+def test_tail_compare_smoke(tmp_path):
+    script = _load("tail_compare")
+    out = tmp_path / "tails"
+    script.main(["--n", "300", "--replicates", "2", "--workers", "2", "--out-dir", str(out)])
+    names = sorted(p.name for p in out.iterdir())
+    assert names == sorted(
+        f"tail_{direction}_{kind}.csv" for direction in ("in", "out") for kind in ("rep0", "rep1", "limit")
+    )
+    for name in names:
+        assert (out / name).read_text().startswith("m,value\n")
