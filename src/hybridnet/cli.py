@@ -226,7 +226,7 @@ def cmd_ccdf(args) -> int:
     edges = len(source)
     out_degree = np.bincount(dense[:edges], minlength=len(ids))
     in_degree = np.bincount(dense[edges:], minlength=len(ids))
-    counts = degree_counts_from_arrays(in_degree.tolist(), out_degree.tolist(), len(ids), edges)
+    counts = degree_counts_from_arrays(in_degree, out_degree, len(ids), edges)
     curve = ccdf(counts, args.direction)
     export(curve, Path(args.out))
     print(f"wrote {len(curve)} ccdf points to {args.out}")

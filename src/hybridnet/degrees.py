@@ -10,7 +10,6 @@ evaluation are provided; tests certify their agreement.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -42,14 +41,21 @@ def degree_counts(state: NetworkState) -> DegreeCounts:
 
 
 def degree_counts_from_arrays(in_degree, out_degree, n_nodes, n_edges) -> DegreeCounts:
+    """Degree histograms of per-node degree sequences (lists or integer arrays)."""
     if n_nodes < 1:
         raise ValueError("need at least one node")
     return DegreeCounts(
-        in_counts=dict(Counter(in_degree)),
-        out_counts=dict(Counter(out_degree)),
+        in_counts=_histogram(in_degree),
+        out_counts=_histogram(out_degree),
         n_nodes=n_nodes,
         n_edges=n_edges,
     )
+
+
+def _histogram(degrees) -> dict[int, int]:
+    counts = np.bincount(np.asarray(degrees, dtype=np.int64))
+    seen = np.flatnonzero(counts)
+    return dict(zip(seen.tolist(), counts[seen].tolist()))
 
 
 def ccdf(counts: DegreeCounts, direction: str = "in") -> list[tuple[int, float]]:

@@ -1,14 +1,17 @@
 """Likelihood maximisation and posterior sampling.
 
-Two routes to the same log-likelihood: a simplex search and a random-walk
-Metropolis-Hastings sampler with flat priors and boundary reflection.  The
-scenario probabilities enter the likelihood only through a multinomial
-term, so the simplex search fixes them at their closed-form maximum (the
-empirical frequencies) and searches the three kernel coordinates
-(logit p, log delta_in, log delta_out).  The integrated pipeline uses the
+The scenario probabilities enter the likelihood only through a multinomial
+term; the kernel terms involve only (p, delta_in, delta_out).  Both
+estimators use that split.  The simplex search fixes the scenario block at
+its closed-form maximum (the empirical frequencies) and searches the three
+kernel coordinates (logit p, log delta_in, log delta_out).  Under flat
+priors the posterior factorises the same way: the sampler draws the
+scenario block exactly from its Dirichlet posterior and runs a random-walk
+Metropolis-Hastings chain, with a proposal adapted during burn-in, on
+(p, log delta_in, log delta_out) only.  The integrated pipeline uses the
 sampler's posterior mean to seed the simplex search, which removes its
-sensitivity to the initial simplex without changing the optimum.
-``fit`` selects one of the three estimators by name.
+sensitivity to the initial simplex without changing the optimum.  ``fit``
+selects one of the three estimators by name.
 """
 
 from __future__ import annotations
@@ -20,7 +23,14 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 from scipy.optimize import minimize
 
-from .likelihood import SufficientStats, _log_likelihood_parts, mle_scenarios
+from .likelihood import (
+    SufficientStats,
+    _kernel_log_likelihood,
+    _log_likelihood_parts,
+    _scenario_log_likelihood,
+    log_likelihood,
+    mle_scenarios,
+)
 from .model import HybridParams
 
 SCENARIO_NAMES = ("alpha", "beta", "gamma", "xi", "eta")
@@ -28,6 +38,10 @@ SCENARIO_NAMES = ("alpha", "beta", "gamma", "xi", "eta")
 _CLIP = 500.0  # transformed-coordinate clamp; exp(+-500) stays representable
 _PROB_EPS = 1e-9
 _MAX_RESTARTS = 10
+_KERNEL_COORDINATES = ("p", "log_delta_in", "log_delta_out")
+_ADAPT_POINTS = 10  # proposal adaptations, evenly spaced over burn-in
+_ADAPT_SCALE = 2.38**2 / 3  # optimal random-walk scaling in three dimensions
+_PD_RTOL = 1e-12  # smallest/largest covariance eigenvalue that counts as positive definite
 
 
 def _sigmoid(x: float) -> float:
@@ -78,18 +92,10 @@ class FlatPrior:
 
 
 def default_step_sizes() -> dict[str, float]:
-    """Random-walk proposal scales: 0.01 for probability coordinates,
-    0.05 for the offsets on log scale."""
-    return {
-        "alpha": 0.01,
-        "beta": 0.01,
-        "gamma": 0.01,
-        "xi": 0.01,
-        "eta": 0.01,
-        "p": 0.01,
-        "log_delta_in": 0.05,
-        "log_delta_out": 0.05,
-    }
+    """Initial random-walk proposal scales of the kernel coordinates: 0.01
+    for p, 0.05 for each offset on log scale.  ``fit_mh`` adapts the
+    proposal during burn-in."""
+    return {"p": 0.01, "log_delta_in": 0.05, "log_delta_out": 0.05}
 
 
 @dataclass(frozen=True)
@@ -97,10 +103,13 @@ class MhConfig:
     """Metropolis-Hastings settings.
 
     ``iterations`` counts post-burn-in steps; every ``thinning``-th of them
-    is kept.  ``initial`` overrides the default start (scenario
-    probabilities spaced uniformly at random, p uniform, offsets from a
-    standard exponential).  The point estimate is the ``point_estimate``
-    summary of the kept draws.
+    is kept.  ``step_sizes`` holds the initial proposal scales of the
+    kernel coordinates (keys as in ``default_step_sizes``; other keys are
+    ignored), which burn-in adapts.  ``initial`` overrides the default start
+    (p uniform, offsets from a standard exponential); it must have positive
+    posterior density, and only its kernel coordinates seed the chain,
+    because the scenario block is drawn exactly.  The point estimate is the
+    ``point_estimate`` summary of the kept draws.
     """
 
     burn_in: int = 10_000
@@ -247,200 +256,148 @@ def fit_nelder_mead(stats: SufficientStats, config: NelderMeadConfig) -> Estimat
 # ---------------------------------------------------------------------------
 
 
-def _reflect_interval(x: float, lo: float, hi: float) -> float:
-    """Fold ``x`` into [lo, hi] (triangle wave); symmetric for random walks."""
-    width = hi - lo
-    y = math.fmod(x - lo, 2.0 * width)
-    if y < 0.0:
-        y += 2.0 * width
-    return lo + (y if y <= width else 2.0 * width - y)
+def _adapted_proposal(window: np.ndarray, chol: np.ndarray) -> np.ndarray:
+    """Cholesky factor of 2.38^2/3 times the covariance of ``window``'s rows
+    (Haario, Saksman & Tamminen, Bernoulli 7(2), 2001).
 
-
-def _reflect_upper(x: float, hi: float) -> float:
-    return x if x <= hi else 2.0 * hi - x
-
-
-class _MhSpace:
-    """Sampled coordinates and target density for the random-walk chain.
-
-    Scenario probabilities with positive counts are sampled on the natural
-    scale (one reference scenario carries the remaining mass); offsets are
-    sampled as logs.  The flat prior on the offsets contributes the
-    log-scale Jacobian to the sampled-space density.
+    ``chol`` is returned unchanged when that covariance is not numerically
+    positive definite, as for a chain that has not moved in some direction.
     """
-
-    def __init__(self, stats: SufficientStats, prior: FlatPrior):
-        counts = stats.scenario_counts
-        self.stats = stats
-        self.prior = prior
-        self.present = [i for i, c in enumerate(counts) if c > 0]
-        if not self.present:
-            raise ValueError("cannot fit an empty log")
-        self.ref = 2 if counts[2] > 0 else max(self.present, key=lambda i: counts[i])
-        self.sampled = [i for i in self.present if i != self.ref]
-        self.names = [SCENARIO_NAMES[i] for i in self.sampled] + [
-            "p",
-            "log_delta_in",
-            "log_delta_out",
-        ]
-        self.dim = len(self.names)
-        self.log_delta_max = math.log(prior.delta_max)
-
-    def components(self, x: np.ndarray) -> tuple[float, ...] | None:
-        probs = [0.0] * 5
-        for i, val in zip(self.sampled, x):
-            if val < 0.0:
-                return None
-            probs[i] = float(val)
-        ref_mass = 1.0 - sum(probs)
-        if ref_mass < 0.0:
-            return None
-        probs[self.ref] = ref_mass
-        k = len(self.sampled)
-        p = float(x[k])
-        delta_in = math.exp(float(x[k + 1]))
-        delta_out = math.exp(float(x[k + 2]))
-        return (*probs, p, delta_in, delta_out)
-
-    def log_target(self, x: np.ndarray) -> tuple[float, float]:
-        """(sampled-space log density, data log-likelihood)."""
-        comp = self.components(x)
-        if comp is None:
-            return -math.inf, -math.inf
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ll = _log_likelihood_parts(self.stats, *comp)
-        if not math.isfinite(ll):
-            return -math.inf, -math.inf
-        return ll + float(x[-2]) + float(x[-1]), ll
-
-    def reflect(self, x: np.ndarray) -> np.ndarray:
-        k = len(self.sampled)
-        out = x.copy()
-        for i in range(k + 1):  # scenario coordinates and p live in [0, 1]
-            out[i] = _reflect_interval(out[i], 0.0, 1.0)
-        out[k + 1] = _reflect_upper(out[k + 1], self.log_delta_max)
-        out[k + 2] = _reflect_upper(out[k + 2], self.log_delta_max)
-        return out
-
-    def pack(self, theta: HybridParams) -> np.ndarray:
-        probs = [theta.alpha, theta.beta, theta.gamma, theta.xi, theta.eta]
-        return np.array(
-            [probs[i] for i in self.sampled]
-            + [theta.p, math.log(theta.delta_in), math.log(theta.delta_out)]
-        )
-
-    def draw_start(self, rng: np.random.Generator) -> np.ndarray:
-        cuts = np.sort(rng.random(len(self.present) - 1)) if len(self.present) > 1 else np.array([])
-        gaps = np.diff(np.concatenate([[0.0], cuts, [1.0]]))
-        by_scenario = dict(zip(self.present, gaps))
-        deltas = np.minimum(rng.exponential(size=2), self.prior.delta_max)
-        deltas = np.maximum(deltas, 1e-6)
-        return np.array(
-            [by_scenario[i] for i in self.sampled]
-            + [rng.random(), math.log(deltas[0]), math.log(deltas[1])]
-        )
+    if window.shape[0] > 3:  # fewer rows cannot span the three coordinates
+        cov = _ADAPT_SCALE * np.cov(window, rowvar=False)
+        eigenvalues = np.linalg.eigvalsh(cov)
+        if eigenvalues[0] > _PD_RTOL * eigenvalues[-1]:
+            return np.linalg.cholesky(cov)
+    return chol
 
 
 def fit_mh(stats: SufficientStats, config: MhConfig) -> EstimationResult:
-    """Random-walk Metropolis-Hastings over the likelihood with flat priors.
+    """Flat-prior posterior sampling: the scenario block drawn exactly, a
+    random walk on the kernel block.
 
-    Per-coordinate Gaussian steps with boundary reflection keep the proposal
-    symmetric; simplex feasibility is enforced through the prior support.
-    The trace keeps every ``thinning``-th post-burn-in draw and records the
-    data log-likelihood; the acceptance rate is counted over the post-burn-in
-    phase.  Deterministic for a fixed seed.
+    Under the flat prior the posterior factorises.  The scenario
+    probabilities are Dirichlet(counts + 1) on the scenarios that occur
+    (the others are exactly zero) and independent of the kernel, so they
+    are drawn exactly, once per kept draw.  The kernel block
+    (p, log delta_in, log delta_out) is sampled by random-walk
+    Metropolis-Hastings on the kernel log-likelihood plus the log-scale
+    Jacobian; a proposal outside the prior support (p in [0, 1],
+    delta <= delta_max) has zero density and is rejected.  Reflecting it
+    back instead would not be a symmetric proposal once the steps are
+    correlated.  The proposal covariance starts as the squared
+    ``step_sizes``; at ten evenly spaced points of burn-in it is set to
+    2.38^2/3 times the covariance of the later half of the draws so far,
+    and after burn-in it is frozen, so the kept draws come from a plain
+    Metropolis-Hastings chain.  With ``burn_in=0`` the proposal is
+    ``step_sizes`` throughout.
+
+    The trace keeps every ``thinning``-th post-burn-in draw with its data
+    log-likelihood; the acceptance rate is the kernel walk's over the
+    post-burn-in phase.  Deterministic for a fixed seed.
     """
-    space = _MhSpace(stats, config.prior)
+    counts = np.array(stats.scenario_counts)
+    present = counts > 0
+    if not present.any():
+        raise ValueError("cannot fit an empty log")
+    prior = config.prior
+    log_delta_max = math.log(prior.delta_max)
     rng = np.random.default_rng(config.seed)
-    merged = {**default_step_sizes(), **dict(config.step_sizes)}
-    steps = np.array([merged[name] for name in space.names])
 
-    if config.initial is not None:
-        x = space.pack(config.initial)
-        lp, ll = space.log_target(x)
-        if not math.isfinite(lp):
-            raise ValueError("initial point has zero posterior density")
+    def log_target(x: np.ndarray) -> tuple[float, float]:
+        """(sampled-space log density, kernel log-likelihood); zero density
+        outside the prior support."""
+        if not (0.0 <= x[0] <= 1.0 and x[1] <= log_delta_max and x[2] <= log_delta_max):
+            return -math.inf, -math.inf
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ll = _kernel_log_likelihood(stats, x[0], math.exp(x[1]), math.exp(x[2]))
+        if not math.isfinite(ll):
+            return -math.inf, -math.inf
+        return ll + x[1] + x[2], ll
+
+    start = config.initial
+    if start is None:
+        deltas = np.clip(rng.exponential(size=2), 1e-6, prior.delta_max)
+        x = np.array([rng.random(), *np.log(deltas)])
     else:
-        for _ in range(100):
-            x = space.draw_start(rng)
-            lp, ll = space.log_target(x)
-            if math.isfinite(lp):
-                break
-        else:
-            raise RuntimeError("could not find a starting point with positive density")
+        x = np.array([start.p, math.log(start.delta_in), math.log(start.delta_out)])
+    lp, ll = log_target(x)
+    if start is not None and not (math.isfinite(lp) and math.isfinite(log_likelihood(stats, start))):
+        raise ValueError("initial point has zero posterior density")
+    theta = np.array([x[0], *np.exp(x[1:])])  # (p, delta_in, delta_out)
 
-    kept: list[TraceEntry] = []
-    kept_components: list[tuple[float, ...]] = []
+    steps = {**default_step_sizes(), **dict(config.step_sizes)}
+    chol = np.diag([steps[name] for name in _KERNEL_COORDINATES])
+    burn_in = config.burn_in
+    adapt_at = {round(k * burn_in / _ADAPT_POINTS) for k in range(1, _ADAPT_POINTS + 1)}
+    history = np.empty((burn_in, 3))
+    kept_iterations: list[int] = []
+    kept_kernel: list[np.ndarray] = []
+    kept_ll: list[float] = []
     running_rows: list[np.ndarray] = []
-    cumulative = np.zeros(8)
+    cumulative = np.zeros(3)
     accepts = 0
-    comp = np.array(space.components(x))
-    total = config.burn_in + config.iterations
-    for t in range(1, total + 1):
-        proposal = space.reflect(x + rng.normal(0.0, steps))
-        lpp, llp = space.log_target(proposal)
-        if rng.random() < accept_probability(lp, lpp):
+    for t in range(1, burn_in + config.iterations + 1):
+        proposal = x + chol @ rng.standard_normal(3)
+        lpp, llp = log_target(proposal)
+        accepted = rng.random() < accept_probability(lp, lpp)
+        if accepted:
             x, lp, ll = proposal, lpp, llp
-            comp = np.array(space.components(x))
-            accepted = True
-        else:
-            accepted = False
-        if t > config.burn_in:
-            accepts += accepted
-            cumulative += comp
-            if (t - config.burn_in) % config.thinning == 0:
-                kept_components.append(comp)
-                kept.append(TraceEntry(t, _params_from_components(comp), ll))
-                # running means over every post-burn-in draw so far, sampled
-                # at the thinning points (the usual running-mean plot)
-                running_rows.append(cumulative / (t - config.burn_in))
+            theta = np.array([x[0], *np.exp(x[1:])])
+        if t <= burn_in:
+            history[t - 1] = x
+            if t in adapt_at:  # from the later half of the draws so far
+                chol = _adapted_proposal(history[t // 2 : t], chol)
+            continue
+        accepts += accepted
+        cumulative += theta
+        if (t - burn_in) % config.thinning == 0:
+            kept_iterations.append(t)
+            kept_kernel.append(theta)
+            kept_ll.append(ll)
+            # running means over every post-burn-in draw so far, sampled
+            # at the thinning points (the usual running-mean plot)
+            running_rows.append(cumulative / (t - burn_in))
 
-    draws = np.array(kept_components)  # columns: alpha..eta, p, delta_in, delta_out
+    n_kept = len(kept_kernel)
+    probs = np.zeros((n_kept, 5))
+    probs[:, present] = rng.dirichlet(counts[present] + 1.0, size=n_kept)
+    draws = np.hstack([probs, np.array(kept_kernel)])  # columns: alpha..eta, p, delta_in, delta_out
+    trace = [
+        TraceEntry(t, _params_from_components(row), _scenario_log_likelihood(stats, *row[:5]) + ll)
+        for t, row, ll in zip(kept_iterations, draws, kept_ll)
+    ]
     summary = np.mean(draws, axis=0) if config.point_estimate == "mean" else np.median(draws, axis=0)
-    point = _params_from_components(summary, renormalize_at=space.ref)
-    running = np.array(running_rows)
+    summary[:5] /= summary[:5].sum()  # back onto the simplex (medians need not sum to one)
+    point = _params_from_components(summary)
+    # the scenario block is drawn once per kept draw, so its running means
+    # run over the kept draws
+    running = np.hstack(
+        [np.cumsum(probs, axis=0) / np.arange(1, n_kept + 1)[:, None], np.array(running_rows)]
+    )
     diagnostics = {
         "running_means": {
             name: running[:, i]
             for i, name in enumerate(SCENARIO_NAMES + ("p", "delta_in", "delta_out"))
         },
-        "kept_draws": draws.shape[0],
+        "kept_draws": n_kept,
     }
     return EstimationResult(
         point=point,
         converged=True,
-        log_likelihood=_ll_of_point(stats, point),
-        trace=kept,
+        log_likelihood=log_likelihood(stats, point),
+        trace=trace,
         acceptance_rate=accepts / config.iterations,
         diagnostics=diagnostics,
     )
 
 
-def _ll_of_point(stats: SufficientStats, point: HybridParams) -> float:
-    return _log_likelihood_parts(
-        stats,
-        point.alpha,
-        point.beta,
-        point.gamma,
-        point.xi,
-        point.eta,
-        point.p,
-        point.delta_in,
-        point.delta_out,
-    )
-
-
-def _params_from_components(comp, renormalize_at: int | None = None) -> HybridParams:
-    probs = list(comp[:5])
-    if renormalize_at is not None:
-        probs[renormalize_at] = 0.0
-        probs[renormalize_at] = 1.0 - sum(probs)
+def _params_from_components(comp) -> HybridParams:
     return HybridParams(
-        alpha=probs[0],
-        beta=probs[1],
-        gamma=probs[2],
-        xi=probs[3],
-        eta=probs[4],
+        alpha=comp[0],
+        beta=comp[1],
+        gamma=comp[2],
+        xi=comp[3],
+        eta=comp[4],
         p=min(max(comp[5], 0.0), 1.0),
         delta_in=comp[6],
         delta_out=comp[7],

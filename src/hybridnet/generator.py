@@ -212,9 +212,7 @@ def _snapshots(source, target, nodes_after, steps) -> list[DegreeCounts]:
         out_degree[:size] += np.bincount(source[done:k], minlength=size)
         done = k
         snapshots.append(
-            degree_counts_from_arrays(
-                in_degree[1:size].tolist(), out_degree[1:size].tolist(), size - 1, k + 1
-            )
+            degree_counts_from_arrays(in_degree[1:size], out_degree[1:size], size - 1, k + 1)
         )
     return snapshots
 

@@ -123,14 +123,21 @@ def replay(log: EdgeLog, seeded: bool = True) -> SufficientStats:
     )
 
 
-def _log_likelihood_parts(stats, alpha, beta, gamma, xi, eta, p, delta_in, delta_out):
-    n1, n2, n3, n4, n5 = stats.scenario_counts
+def _scenario_log_likelihood(stats, alpha, beta, gamma, xi, eta):
+    """The multinomial term: ``-inf`` when a scenario with positive count
+    has zero probability."""
     ll = 0.0
-    for count, prob in ((n1, alpha), (n2, beta), (n3, gamma), (n4, xi), (n5, eta)):
+    for count, prob in zip(stats.scenario_counts, (alpha, beta, gamma, xi, eta)):
         if count:
             if prob <= 0.0:
                 return -math.inf
             ll += count * math.log(prob)
+    return ll
+
+
+def _kernel_log_likelihood(stats, p, delta_in, delta_out, ll=0.0):
+    """The endpoint-selection terms, which involve only ``p`` and the
+    offsets, added to ``ll``."""
     d, v, k, log_v_sum = stats._in_arrays
     if d.size:
         ll += float(np.log((p * d + delta_in) * v + (1.0 - p) * k).sum())
@@ -140,6 +147,13 @@ def _log_likelihood_parts(stats, alpha, beta, gamma, xi, eta, p, delta_in, delta
         ll += float(np.log((p * d + delta_out) * v + (1.0 - p) * k).sum())
         ll -= log_v_sum + float(np.log(k + v * delta_out).sum())
     return ll
+
+
+def _log_likelihood_parts(stats, alpha, beta, gamma, xi, eta, p, delta_in, delta_out):
+    ll = _scenario_log_likelihood(stats, alpha, beta, gamma, xi, eta)
+    if ll == -math.inf:
+        return ll
+    return _kernel_log_likelihood(stats, p, delta_in, delta_out, ll)
 
 
 def log_likelihood(stats: SufficientStats, theta: HybridParams) -> float:

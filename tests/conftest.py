@@ -76,6 +76,24 @@ def enumerate_histories(params, length):
     return out
 
 
+def effective_sample_size(chain) -> float:
+    """Geyer's initial positive sequence ESS of one chain (Statistical
+    Science 7(4), 1992): n / tau, where tau = -1 + 2 * the sum of the
+    leading positive pair sums rho(2k) + rho(2k + 1) of the FFT
+    autocorrelation.  A constant chain gets ESS 1."""
+    x = np.asarray(chain, dtype=float)
+    n = x.size
+    x = x - x.mean()
+    spectrum = np.fft.rfft(x, 2 * n)  # zero padding makes the circular product linear
+    acov = np.fft.irfft(spectrum * np.conj(spectrum), 2 * n)[:n]
+    if acov[0] <= 0.0:
+        return 1.0
+    pairs = (acov / acov[0])[: 2 * (n // 2)].reshape(-1, 2).sum(axis=1)
+    stop = np.flatnonzero(pairs <= 0.0)
+    tau = 2.0 * float(pairs[: stop[0] if stop.size else pairs.size].sum()) - 1.0
+    return n / max(tau, 1.0 / n)
+
+
 _BLOCK = 8192
 
 

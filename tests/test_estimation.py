@@ -1,7 +1,9 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from hybridnet import (
     EdgeLog,
@@ -21,9 +23,12 @@ from hybridnet import (
     replay,
     simulate,
 )
-from conftest import log_from_pairs
+from conftest import effective_sample_size, log_from_pairs
 
 FIXED_START = HybridParams.fill_gamma(1 / 3, 1 / 3, p=0.5, delta_in=1.0, delta_out=1.0)
+TABLE1 = HybridParams.fill_gamma(0.1, 0.8, p=0.8, delta_in=1.3, delta_out=0.7)
+SCENARIOS = ("alpha", "beta", "gamma", "xi", "eta")
+KERNEL = ("p", "delta_in", "delta_out")
 
 
 @pytest.fixture(scope="module")
@@ -124,8 +129,9 @@ class TestMetropolisHastings:
         )
         result = fit_mh(stats, config)
         assert result.acceptance_rate == 1.0
-        points = {entry.params for entry in result.trace}
-        assert len(points) == 1
+        # the scenario block is drawn exactly, so only the kernel walk freezes
+        kernels = {(e.params.p, e.params.delta_in, e.params.delta_out) for e in result.trace}
+        assert kernels == {(FIXED_START.p, FIXED_START.delta_in, FIXED_START.delta_out)}
 
     def test_trace_length_and_schema(self, sim_stats):
         _, stats = sim_stats
@@ -152,6 +158,12 @@ class TestMetropolisHastings:
         bad = HybridParams.fill_gamma(0.0, 0.5, p=0.5, delta_in=1.0, delta_out=1.0)
         with pytest.raises(ValueError, match="zero posterior"):
             fit_mh(stats, MhConfig(burn_in=10, iterations=100, thinning=10, initial=bad))
+
+    def test_start_outside_prior_support_rejected(self, sim_stats):
+        _, stats = sim_stats
+        outside = HybridParams.fill_gamma(0.1, 0.8, p=0.5, delta_in=250.0, delta_out=1.0)
+        with pytest.raises(ValueError, match="zero posterior"):  # default delta_max is 100
+            fit_mh(stats, MhConfig(burn_in=10, iterations=100, thinning=10, initial=outside))
 
     def test_running_mean_flattens_on_converged_chain(self):
         # A genuinely converged chain: equilibrium start, proposal steps
@@ -202,6 +214,82 @@ class TestMetropolisHastings:
         assert accept_probability(-10.0, -math.inf) == 0.0
         assert accept_probability(-10.0, -5.0) == 1.0
         assert accept_probability(-5.0, -6.0) == pytest.approx(math.exp(-1.0))
+
+
+class TestFactorisedSampler:
+    def test_scenario_draws_follow_dirichlet_posterior(self, sim_stats):
+        _, stats = sim_stats
+        result = fit_mh(stats, MhConfig(burn_in=0, iterations=4000, thinning=1, seed=5))
+        draws = np.array([[getattr(e.params, name) for name in SCENARIOS[:3]] for e in result.trace])
+        a = np.array(stats.scenario_counts[:3]) + 1.0  # Dirichlet(counts + 1) on 3 scenarios
+        mean = a / a.sum()  # (c + 1) / (n + k)
+        var = a * (a.sum() - a) / (a.sum() ** 2 * (a.sum() + 1.0))
+        n = draws.shape[0]
+        assert np.all(np.abs(draws.mean(axis=0) - mean) < 4.0 * np.sqrt(var / n))
+        # near-normal marginals: the sample variance has relative error sqrt(2 / n)
+        assert np.all(np.abs(draws.var(axis=0, ddof=1) / var - 1.0) < 4.0 * math.sqrt(2.0 / n))
+
+    def test_absent_scenarios_are_exactly_zero(self, sim_stats):
+        pairs = [(2, 1), (1, 1), (3, 3)] + [(k, k + 1) for k in range(4, 16, 2)]
+        extended = replay(log_from_pairs(pairs))
+        assert extended.scenario_counts == (1, 1, 0, 1, 6)
+        for stats in (sim_stats[1], extended):
+            result = fit_mh(stats, MhConfig(burn_in=0, iterations=500, thinning=1, seed=6))
+            for name, count in zip(SCENARIOS, stats.scenario_counts):
+                values = {getattr(e.params, name) for e in result.trace}
+                values |= {getattr(result.point, name)}
+                values |= set(result.diagnostics["running_means"][name])
+                if count:
+                    assert 0.0 not in values, name
+                else:
+                    assert values == {0.0}, name
+
+    def test_posterior_means_match_quadrature(self):
+        _, log, _ = simulate(SimulationConfig(params=TABLE1, n_edges=300, seed=11))
+        stats = replay(log)
+        prior = FlatPrior(delta_max=5.0)
+        result = fit_mh(
+            stats, MhConfig(burn_in=5_000, iterations=100_000, thinning=1, prior=prior, seed=7)
+        )
+        # Midpoint rule under the flat priors (p on [0, 1], offsets on
+        # (0, delta_max]).  The in- and out-terms share only p, so
+        # ll(p, a, b) = ll(p, a, c) + ll(p, c, b) - ll(p, c, c) for any c.
+        m = 120
+        p = (np.arange(m) + 0.5) / m
+        d = (np.arange(m) + 0.5) * prior.delta_max / m
+
+        def ll(pp, din, dout):
+            return log_likelihood(stats, replace(TABLE1, p=pp, delta_in=din, delta_out=dout))
+
+        base = np.array([ll(pp, 1.0, 1.0) for pp in p])
+        l_in = np.array([[ll(pp, x, 1.0) for x in d] for pp in p]) - base[:, None]
+        l_out = np.array([[ll(pp, 1.0, x) for x in d] for pp in p]) - base[:, None]
+        log_w = base[:, None, None] + l_in[:, :, None] + l_out[:, None, :]
+        w = np.exp(log_w - log_w.max())
+        w /= w.sum()
+        exact = {
+            "p": float((w.sum(axis=(1, 2)) * p).sum()),
+            "delta_in": float((w.sum(axis=(0, 2)) * d).sum()),
+            "delta_out": float((w.sum(axis=(0, 1)) * d).sum()),
+        }
+        for name in KERNEL:
+            chain = np.array([getattr(e.params, name) for e in result.trace])
+            mc_error = chain.std() / math.sqrt(effective_sample_size(chain))
+            assert abs(chain.mean() - exact[name]) < 4.0 * mc_error, name
+            assert getattr(result.point, name) == pytest.approx(chain.mean(), rel=1e-12)
+
+    def test_kernel_ess_floor_on_table1(self):
+        _, log, _ = simulate(SimulationConfig(params=TABLE1, n_edges=10_000, seed=1))
+        result = fit_mh(
+            replay(log), MhConfig(burn_in=10_000, iterations=20_000, thinning=1, seed=3)
+        )
+        for name in KERNEL:
+            assert effective_sample_size([getattr(e.params, name) for e in result.trace]) >= 50, name
+
+    def test_ess_helper_on_ar1(self):
+        rho, n = 0.9, 200_000
+        chain = lfilter([1.0], [1.0, -rho], np.random.default_rng(0).standard_normal(n))
+        assert effective_sample_size(chain) / (n * (1 - rho) / (1 + rho)) == pytest.approx(1, abs=0.1)
 
 
 class TestIntegrated:
