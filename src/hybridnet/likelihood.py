@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .degrees import DegreeCounts, strict_tail_fractions
-from .model import EdgeLog, HybridParams, classify_endpoints
+from .model import EdgeLog, HybridParams, _counts_before, _novelty_pass
 
 
 class BracketingError(RuntimeError):
@@ -76,47 +76,20 @@ def replay(log: EdgeLog, seeded: bool = True) -> SufficientStats:
     as a fresh-node scenario, establishes the initial vertex set, and
     contributes only its scenario-probability term.
 
-    Scenario labels present on records are validated against the replayed
-    classification; timestamps must be nondecreasing.
+    Timestamps must be nondecreasing, node ids positive, and scenario labels
+    present on records must match the replayed classification; the first
+    failing record raises ``ValueError``.  The pass is a handful of array
+    operations around one stable sort of the endpoint stream, shared with
+    ``model.classify_edge_log``.
     """
-    scenario: list[int] = []
-    d_in: list[int] = []
-    d_out: list[int] = []
-    v_count: list[int] = []
-    in_deg: dict[int, int] = {}
-    out_deg: dict[int, int] = {}
-    if seeded:
-        in_deg[1] = 1
-        out_deg[1] = 1
-    prev_time = None
-
-    columns = (log.source, log.target, log.time, log.scenario)
-    for k, (source, target, time, label) in enumerate(zip(*(col.tolist() for col in columns))):
-        if prev_time is not None and time < prev_time:
-            raise ValueError(f"record {k}: timestamps decrease ({time} after {prev_time})")
-        prev_time = time
-        sc = classify_endpoints(in_deg, source, target)
-        if label and label != sc:
-            raise ValueError(
-                f"record {k}: scenario label {label} inconsistent with "
-                f"replayed classification {sc} (endpoint never appeared?)"
-            )
-        scenario.append(sc)
-        v_count.append(len(in_deg))
-        d_in.append(in_deg[target] if sc <= 2 else -1)
-        d_out.append(out_deg[source] if 2 <= sc <= 3 else -1)
-        for node in (source, target):
-            if node not in in_deg:
-                in_deg[node] = 0
-                out_deg[node] = 0
-        in_deg[target] += 1
-        out_deg[source] += 1
-
+    novelty = _novelty_pass(log, seeded, check_order=True)
+    node_count, in_degree, out_degree = _counts_before(log, novelty, seeded)
+    scenario = novelty.scenario
     return SufficientStats(
-        scenario=np.array(scenario, dtype=np.int8),
-        target_in_degree=np.array(d_in, dtype=np.int64),
-        source_out_degree=np.array(d_out, dtype=np.int64),
-        node_count=np.array(v_count, dtype=np.int64),
+        scenario=scenario,
+        target_in_degree=np.where(scenario <= 2, in_degree, -1),
+        source_out_degree=np.where((scenario == 2) | (scenario == 3), out_degree, -1),
+        node_count=node_count,
         # the degree mass before each step: the seed edge plus the earlier records
         mass=np.arange(len(scenario), dtype=np.int64) + (1 if seeded else 0),
         seeded=seeded,

@@ -311,9 +311,13 @@ def step_distribution(
     return dist
 
 
-def classify_endpoints(known, source: int, target: int) -> int:
-    """Scenario label of a ``source -> target`` edge given the set ``known`` of
-    vertices present before it."""
+def classify_scenario(previous_nodes: Iterable[int], record: EdgeRecord) -> int:
+    """Recover the scenario label of a record from endpoint novelty.
+
+    ``previous_nodes`` is the vertex set before the record's edge was added.
+    """
+    known = previous_nodes if hasattr(previous_nodes, "__contains__") else set(previous_nodes)
+    source, target = record.source, record.target
     if source < 1 or target < 1:
         raise ValueError(f"node ids must be positive, got {source}, {target}")
     src_new = source not in known
@@ -325,26 +329,128 @@ def classify_endpoints(known, source: int, target: int) -> int:
     return 4 if source == target else 5
 
 
-def classify_scenario(previous_nodes: Iterable[int], record: EdgeRecord) -> int:
-    """Recover the scenario label of a record from endpoint novelty.
+class _EndStream(NamedTuple):
+    """The interleaved endpoint stream ``s0, t0, s1, t1, ...`` of an edge log,
+    stably sorted once.  ``order`` is the sort permutation and ``ranked`` the
+    sorted ids; ``group[i]`` is the dense id (rank among the distinct ids) of
+    sorted entry ``i`` and ``start[g]`` the sorted index of id ``g``'s first
+    entry, so ``order[start]`` holds each id's first stream position."""
 
-    ``previous_nodes`` is the vertex set before the record's edge was added.
+    order: np.ndarray
+    ranked: np.ndarray
+    group: np.ndarray
+    start: np.ndarray
+
+
+def _end_stream(source: np.ndarray, target: np.ndarray) -> _EndStream:
+    ends = np.empty(2 * source.shape[0], dtype=np.int64)
+    ends[0::2] = source
+    ends[1::2] = target
+    order = np.argsort(ends, kind="stable")  # equal ids keep stream order
+    ranked = ends[order]
+    head = np.ones(ranked.shape, dtype=bool)
+    head[1:] = ranked[1:] != ranked[:-1]
+    return _EndStream(order, ranked, np.cumsum(head) - 1, np.flatnonzero(head))
+
+
+class _Novelty(NamedTuple):
+    """The novelty pass over an edge log: its sorted endpoint stream, the
+    stream positions where an id first appears (not the seed node's), and
+    each record's scenario."""
+
+    stream: _EndStream
+    fresh: np.ndarray
+    scenario: np.ndarray
+
+
+# scenario by 2 * (source new) + (target new), plus 1 for a fresh self-loop
+_SCENARIO_BY_NOVELTY = np.array([2, 3, 1, 5, 4], dtype=np.int8)
+
+
+def _novelty_pass(log: EdgeLog, seeded: bool, check_order: bool = False) -> _Novelty:
+    """Replay node novelty over the whole log in array passes.
+
+    With ``seeded=True`` node 1 exists before the first record.  Node ids
+    must be positive; ``check_order`` also requires nondecreasing
+    timestamps and scenario labels that match the replayed ones.  The first
+    failing record raises ``ValueError``; within one record the checks run
+    in the order time, ids, label.
     """
-    known = previous_nodes if hasattr(previous_nodes, "__contains__") else set(previous_nodes)
-    return classify_endpoints(known, record.source, record.target)
+    source, target = log.source, log.target
+    stream = _end_stream(source, target)
+    order, ranked, _, start = stream
+    fresh = np.zeros(order.shape, dtype=bool)
+    fresh[order[start]] = True
+    seed = np.searchsorted(ranked, 1) if seeded else len(ranked)
+    if seed < len(ranked) and ranked[seed] == 1:
+        fresh[order[seed]] = False  # the seed node exists before the first record
+    src_new, tgt_new = fresh[0::2], fresh[1::2]
+    fresh_loop = src_new & (source == target)
+    scenario = _SCENARIO_BY_NOVELTY[2 * src_new.astype(np.int8) + (tgt_new | fresh_loop) + fresh_loop]
+    _check_records(log, scenario, check_order)
+    return _Novelty(stream, fresh, scenario)
+
+
+def _counts_before(
+    log: EdgeLog, novelty: _Novelty, seeded: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The vertex count, the target's in-degree and the source's out-degree
+    just before each record (the seed self-loop included when seeded)."""
+    order, _, group, start = novelty.stream
+    fresh = novelty.fresh
+    n = len(log)
+    node_count = np.zeros(n, dtype=np.int64)
+    np.cumsum((fresh[0::2] + fresh[1::2].astype(np.int64))[:-1], out=node_count[1:])
+    # Per sorted entry: the index where its id's entries start, and how many
+    # earlier entries of its id are targets (odd stream positions).
+    first = start[group]
+    is_target = order & 1
+    targets = np.cumsum(is_target) - is_target
+    targets -= targets[first]
+    rank = np.empty_like(order)  # the sorted index of every stream position
+    rank[order] = np.arange(2 * n)
+    in_degree = targets[rank[1::2]]
+    src_rank = rank[0::2]
+    out_degree = src_rank - first[src_rank] - targets[src_rank]
+    if seeded:
+        node_count += 1
+        in_degree += log.target == 1
+        out_degree += log.source == 1
+    return node_count, in_degree, out_degree
+
+
+def _check_records(log: EdgeLog, scenario: np.ndarray, check_order: bool) -> None:
+    source, target, time, label = log.source, log.target, log.time, log.scenario
+    failures = [(_first_true((source < 1) | (target < 1)), 1)]
+    if check_order:
+        failures.append((_first_true(time[1:] < time[:-1]) + 1, 0))
+        failures.append((_first_true((label != 0) & (label != scenario)), 2))
+    k, check = min(failures)
+    if k >= len(log):
+        return
+    if check == 0:
+        raise ValueError(f"record {k}: timestamps decrease ({time[k]} after {time[k - 1]})")
+    if check == 1:
+        raise ValueError(f"node ids must be positive, got {source[k]}, {target[k]}")
+    raise ValueError(
+        f"record {k}: scenario label {label[k]} inconsistent with "
+        f"replayed classification {scenario[k]} (endpoint never appeared?)"
+    )
+
+
+def _first_true(mask: np.ndarray) -> int:
+    """Index of the first true entry, or the length when there is none."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else mask.shape[0]
 
 
 def classify_edge_log(log: EdgeLog, seeded: bool = True) -> list[int]:
-    """Scenario labels for every record, replaying node novelty in order.
+    """Scenario labels for every record, from node novelty in record order.
 
     With ``seeded=True`` the vertex set starts as ``{1}`` (the seed node);
     otherwise it starts empty, as for a real-data window that carries no
-    seed edge.
+    seed edge.  A non-positive id raises ``ValueError``.  This is the array
+    pass that ``likelihood.replay`` runs, without its timestamp and label
+    checks.
     """
-    known: set[int] = {1} if seeded else set()
-    labels = []
-    for source, target in zip(log.source.tolist(), log.target.tolist()):
-        labels.append(classify_endpoints(known, source, target))
-        known.add(source)
-        known.add(target)
-    return labels
+    return _novelty_pass(log, seeded).scenario.tolist()

@@ -10,6 +10,8 @@ from hybridnet import (
     NetworkState,
     SimulationConfig,
     SimulationOutput,
+    SufficientStats,
+    classify_scenario,
     simulate,
     step_distribution,
 )
@@ -19,6 +21,19 @@ from hybridnet.degrees import degree_counts_from_arrays
 @pytest.fixture
 def table1_params():
     return HybridParams.fill_gamma(0.1, 0.8, p=0.8, delta_in=1.3, delta_out=0.7)
+
+
+# parameter settings at which the array passes are checked against the loops
+ORACLE_SETTINGS = {
+    "table1": HybridParams.fill_gamma(0.1, 0.8, p=0.8, delta_in=1.3, delta_out=0.7),
+    "node_heavy": HybridParams.fill_gamma(0.45, 0.1, p=0.6, delta_in=1.3, delta_out=0.7),
+    "extended": HybridParams.fill_gamma(0.1, 0.7, p=0.8, delta_in=1.3, delta_out=0.7, xi=0.05, eta=0.05),
+    "xi_one": HybridParams(alpha=0, beta=0, gamma=0, xi=1.0, eta=0, p=0.5, delta_in=1, delta_out=1),
+    "eta_one": HybridParams(alpha=0, beta=0, gamma=0, xi=0, eta=1.0, p=0.5, delta_in=1, delta_out=1),
+    "beta_zero": HybridParams.fill_gamma(0.3, 0.0, p=0.5, delta_in=1.0, delta_out=2.0),
+    "p_zero": HybridParams.fill_gamma(0.3, 0.4, p=0.0, delta_in=1.0, delta_out=1.0),
+    "p_one": HybridParams.fill_gamma(0.3, 0.4, p=1.0, delta_in=0.1, delta_out=5.0),
+}
 
 
 def state_from_records(records):
@@ -228,3 +243,49 @@ def reference_simulate(config):
         creation_step=creation,
     )
     return SimulationOutput(state, EdgeLog(records), snapshots)
+
+
+def reference_replay(log, seeded=True):
+    """The per-record dict loop that ``replay`` replaced, kept as its
+    bit-identity oracle (values and error messages)."""
+    scenario = []
+    d_in = []
+    d_out = []
+    v_count = []
+    in_deg = {}
+    out_deg = {}
+    if seeded:
+        in_deg[1] = 1
+        out_deg[1] = 1
+    prev_time = None
+
+    columns = (log.source, log.target, log.time, log.scenario)
+    for k, (source, target, time, label) in enumerate(zip(*(col.tolist() for col in columns))):
+        if prev_time is not None and time < prev_time:
+            raise ValueError(f"record {k}: timestamps decrease ({time} after {prev_time})")
+        prev_time = time
+        sc = classify_scenario(in_deg, EdgeRecord(source, target, time))
+        if label and label != sc:
+            raise ValueError(
+                f"record {k}: scenario label {label} inconsistent with "
+                f"replayed classification {sc} (endpoint never appeared?)"
+            )
+        scenario.append(sc)
+        v_count.append(len(in_deg))
+        d_in.append(in_deg[target] if sc <= 2 else -1)
+        d_out.append(out_deg[source] if 2 <= sc <= 3 else -1)
+        for node in (source, target):
+            if node not in in_deg:
+                in_deg[node] = 0
+                out_deg[node] = 0
+        in_deg[target] += 1
+        out_deg[source] += 1
+
+    return SufficientStats(
+        scenario=np.array(scenario, dtype=np.int8),
+        target_in_degree=np.array(d_in, dtype=np.int64),
+        source_out_degree=np.array(d_out, dtype=np.int64),
+        node_count=np.array(v_count, dtype=np.int64),
+        mass=np.arange(len(scenario), dtype=np.int64) + (1 if seeded else 0),
+        seeded=seeded,
+    )

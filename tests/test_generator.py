@@ -10,7 +10,7 @@ from hybridnet import (
     simulate,
     simulate_replicates,
 )
-from conftest import enumerate_histories, reference_simulate
+from conftest import ORACLE_SETTINGS, enumerate_histories, reference_simulate
 
 
 @pytest.fixture
@@ -120,18 +120,6 @@ class TestReplicates:
     def test_replicate_count_validated(self, base_params):
         with pytest.raises(ValueError, match="replicate count"):
             simulate_replicates(SimulationConfig(params=base_params, n_edges=10), 0)
-
-
-ORACLE_SETTINGS = {
-    "table1": HybridParams.fill_gamma(0.1, 0.8, p=0.8, delta_in=1.3, delta_out=0.7),
-    "node_heavy": HybridParams.fill_gamma(0.45, 0.1, p=0.6, delta_in=1.3, delta_out=0.7),
-    "extended": HybridParams.fill_gamma(0.1, 0.7, p=0.8, delta_in=1.3, delta_out=0.7, xi=0.05, eta=0.05),
-    "xi_one": HybridParams(alpha=0, beta=0, gamma=0, xi=1.0, eta=0, p=0.5, delta_in=1, delta_out=1),
-    "eta_one": HybridParams(alpha=0, beta=0, gamma=0, xi=0, eta=1.0, p=0.5, delta_in=1, delta_out=1),
-    "beta_zero": HybridParams.fill_gamma(0.3, 0.0, p=0.5, delta_in=1.0, delta_out=2.0),
-    "p_zero": HybridParams.fill_gamma(0.3, 0.4, p=0.0, delta_in=1.0, delta_out=1.0),
-    "p_one": HybridParams.fill_gamma(0.3, 0.4, p=1.0, delta_in=0.1, delta_out=5.0),
-}
 
 
 def _assert_same_run(config):

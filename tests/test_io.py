@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from hybridnet import (
     simulate,
     window,
 )
-from hybridnet.io import TRACE_HEADER
+from hybridnet.io import TRACE_HEADER, _fast_columns, _line_columns
 from conftest import log_from_pairs
 
 
@@ -75,12 +76,160 @@ class TestParse:
             parse_edge_file(path)
 
 
+def _line_outcome(path, text):
+    try:
+        return _line_columns(path, text)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _assert_columns_equal(got, expected):
+    assert len(got) == len(expected) == 4
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _assert_parse_matches_loop(path):
+    """``parse_edge_file`` equals the per-line loop (columns, stably sorted by
+    time, or the identical error), and so does the fast path where taken."""
+    text = path.read_text()
+    expected = _line_outcome(path, text)
+    fast = _fast_columns(text)
+    if fast is not None:
+        assert not isinstance(expected, str), expected
+        _assert_columns_equal(fast, expected)
+    try:
+        log = parse_edge_file(path)
+    except ValueError as exc:
+        assert str(exc) == expected
+        return fast is not None
+    assert not isinstance(expected, str), expected
+    order = np.argsort(expected[2], kind="stable")
+    _assert_columns_equal([log.source, log.target, log.time, log.scenario], [c[order] for c in expected])
+    return fast is not None
+
+
+_PLAIN_FIELDS = st.one_of(st.integers(1, 9), st.integers(1, 10**17), st.integers(-(10**17), 10**17))
+_ODD_FIELDS = st.one_of(
+    st.integers(-2, 7).map(str),
+    st.sampled_from(
+        [str(2**63 - 1), str(-(2**63)), str(2**63), str(-(2**63) - 1), str(10**18), "0" * 20 + "7"]
+    ),
+    st.sampled_from(["+3", "-0", "007", "+", "-", "1-", "+-1", "1_0", "\uff13", "1%", "%", "%x", "1.0", "x"]),
+)
+_SEPARATORS = st.sampled_from([" ", " ", "\t", " \t ", "\x0b", "\x1c", "\xa0"])
+
+
+@st.composite
+def _edge_texts(draw):
+    """Edge-file texts: clean ones (one width, valid values, spaces and tabs)
+    that the fast path must read, and messy ones mixing every construct the
+    two readers could split or convert differently."""
+    clean = draw(st.booleans())
+    width = draw(st.integers(2, 4))
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["record", "record", "record", "comment", "blank"]))
+        if kind == "comment":
+            line = draw(st.sampled_from(["", " ", "\t"])) + "%" + draw(st.text(max_size=6))
+        elif kind == "blank":
+            line = draw(st.sampled_from(["", " ", "\t "]))
+        elif clean:
+            fields = [str(draw(st.integers(1, 10**12))) for _ in range(2)]
+            fields += [str(draw(_PLAIN_FIELDS)) for _ in range(width - 2)]
+            if width == 4:
+                fields[3] = str(draw(st.integers(1, 5)))
+            line = "".join(draw(st.sampled_from([" ", "\t", "  "])) + f for f in fields)
+        else:
+            fields = draw(st.lists(st.one_of(_PLAIN_FIELDS.map(str), _ODD_FIELDS), min_size=1, max_size=5))
+            line = "".join(draw(_SEPARATORS) + f for f in fields) + draw(st.sampled_from(["", " % x"]))
+        lines.append(line)
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return ending.join(lines) + draw(st.sampled_from(["", ending]))
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=400, deadline=None)
+@given(text=_edge_texts())
+def test_fast_parse_matches_line_loop_property(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("parse") / "e.txt"
+    path.write_bytes(text.encode("utf-8"))
+    _assert_parse_matches_loop(path)
+
+
+class TestFastParse:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1 2 3\n4 5 6\n",
+            "% header \u00e9\n\t% x\n1\t2\n\n 3 4 \n",
+            "1 2 9 5\r\n3 1 2 1\r\n",
+            "+1 02 -7\n",
+        ],
+    )
+    def test_plain_texts_take_the_fast_path(self, tmp_path, text):
+        path = tmp_path / "e.txt"
+        path.write_bytes(text.encode("utf-8"))
+        assert _assert_parse_matches_loop(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1 2\x0b3\n",  # loadtxt: one 3-field row; the loop: two lines
+            "1 2\x1c3\n",
+            "1 2\xa03\n",  # loadtxt splits at no-break space
+            "1 2 % x\n",  # loadtxt drops an inline comment
+            "1_0 2\n",  # int accepts underscores
+            "\uff13 2\n",  # int accepts full-width digits
+            f"1 2 {2**63}\n",
+            f"{2**63 - 1} 2 {-(2**63)}\n",
+            "1 2\n3 4 5\n",  # ragged rows: the loop accepts them
+            "1 2 3 4 5\n",
+            "1\n",
+            "0 2\n",
+            "1 2 3 6\n",
+            "% 1 2\x0b1 2 x\n",  # a line break inside a comment line
+        ],
+    )
+    def test_texts_loadtxt_reads_differently_go_to_the_loop(self, tmp_path, text):
+        path = tmp_path / "e.txt"
+        path.write_bytes(text.encode("utf-8"))
+        assert not _assert_parse_matches_loop(path)
+
+    @pytest.mark.parametrize("text", ["", "\n", "% only a comment\n", " \t\n%a\n  %b\n"])
+    def test_no_records_raise_without_warning(self, tmp_path, text):
+        path = tmp_path / "e.txt"
+        path.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="no edge records found"):
+                parse_edge_file(path)
+        assert caught == []
+
+
 class TestWindow:
     def test_full_range_is_identity_on_dense_logs(self):
         log = log_from_pairs([(1, 2), (2, 3), (1, 3)])
         windowed, mapping = window(log, 1, 3)
         assert windowed.records == log.records
         assert mapping == {1: 1, 2: 2, 3: 3}
+
+    def test_matches_first_appearance_loop(self):
+        th = HybridParams.fill_gamma(0.3, 0.4, p=0.6, delta_in=1.0, delta_out=1.0, xi=0.1, eta=0.1)
+        _, log, _ = simulate(SimulationConfig(params=th, n_edges=3000, seed=12))
+        sparse = 10**12 + np.random.default_rng(4).permutation(10**4) * 7919
+        log = EdgeLog.from_columns(sparse[log.source], sparse[log.target], log.time)
+        windowed, mapping = window(log, 1000, 2000)
+        expected: dict[int, int] = {}
+        relabeled = []
+        for source, target in zip(log.source[999:2000].tolist(), log.target[999:2000].tolist()):
+            for node in (source, target):
+                expected.setdefault(node, len(expected) + 1)
+                relabeled.append(expected[node])
+        assert list(mapping.items()) == list(expected.items())
+        assert windowed.source.tolist() == relabeled[0::2]
+        assert windowed.target.tolist() == relabeled[1::2]
+        assert windowed.time.tolist() == list(range(1000, 2001))
 
     def test_disjoint_window_rejected(self):
         log = log_from_pairs([(1, 2)])
@@ -259,6 +408,18 @@ class TestInt64Range:
         export(log, path)
         assert path.read_text() == f"{base + 7} {base + 3} 1 5\n{base + 11} {base + 3} 2 1\n"
         assert parse_edge_file(path).records == log.records
+
+
+def test_export_in_blocks(tmp_path, monkeypatch):
+    import hybridnet.io
+
+    monkeypatch.setattr(hybridnet.io, "_EXPORT_ROWS", 2)
+    log = log_from_pairs([(2, 1), (1, 1), (3, 2), (3, 3), (10**12, 2)])
+    path = tmp_path / "log.edges"
+    export(log, path)
+    assert path.read_text() == f"2 1 1\n1 1 2\n3 2 3\n3 3 4\n{10**12} 2 5\n"
+    export(EdgeLog([]), path)
+    assert path.read_text() == "\n"
 
 
 def test_export_mixed_labels(tmp_path):

@@ -10,6 +10,7 @@ from hybridnet import (
     HybridParams,
     SimulationConfig,
     approx_score_solve,
+    classify_edge_log,
     degree_counts,
     derived_constants,
     limit_pmf,
@@ -20,12 +21,108 @@ from hybridnet import (
     simulate,
 )
 from hybridnet.degrees import DegreeCounts
-from conftest import enumerate_histories, log_from_pairs
+from conftest import ORACLE_SETTINGS, enumerate_histories, log_from_pairs, reference_replay
 
 
 @pytest.fixture
 def theta():
     return HybridParams.fill_gamma(0.25, 0.4, p=0.6, delta_in=1.1, delta_out=0.8)
+
+
+def _replay_outcome(replayer, log, seeded):
+    try:
+        return replayer(log, seeded)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _assert_same_replay(log, seeded):
+    fast, slow = _replay_outcome(replay, log, seeded), _replay_outcome(reference_replay, log, seeded)
+    if isinstance(fast, str) or isinstance(slow, str):
+        assert fast == slow
+        return
+    for name in ("scenario", "target_in_degree", "source_out_degree", "node_count", "mass"):
+        a, b = getattr(fast, name), getattr(slow, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert fast.seeded == slow.seeded
+
+
+class TestReplayOracle:
+    """``replay`` is bit-identical to the per-record dict loop it replaced,
+    in its statistics and in its error messages."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_SETTINGS))
+    def test_matches_reference_loop(self, name):
+        for seed in range(12):
+            for labelled in (True, False):
+                config = SimulationConfig(
+                    params=ORACLE_SETTINGS[name], n_edges=400, seed=seed, log_scenarios=labelled
+                )
+                log = simulate(config).log
+                for seeded in (True, False):
+                    _assert_same_replay(log, seeded)
+
+    def test_sparse_large_ids(self, theta):
+        log = simulate(SimulationConfig(params=theta, n_edges=2000, seed=8, log_scenarios=False)).log
+        ids = np.unique(np.concatenate((log.source, log.target)))
+        sparse = 10**12 + np.random.default_rng(1).permutation(ids.size) * 7919
+        source, target = (sparse[np.searchsorted(ids, col)] for col in (log.source, log.target))
+        shuffled = EdgeLog.from_columns(source, target, log.time)
+        for seeded in (True, False):
+            _assert_same_replay(shuffled, seeded)
+
+    def test_node_one_never_appears(self):
+        log = log_from_pairs([(2, 3), (3, 3), (4, 2), (2, 5), (6, 6)])
+        for seeded in (True, False):
+            _assert_same_replay(log, seeded)
+
+    def test_empty_log(self):
+        for seeded in (True, False):
+            _assert_same_replay(EdgeLog([]), seeded)
+
+    @pytest.mark.parametrize(
+        "records, message",
+        [
+            # time decrease, a non-positive id and a wrong label on record 1
+            ([(2, 1, 5, None), (0, 9, 4, 2)], "record 1: timestamps decrease"),
+            # a non-positive id and a wrong label on record 1
+            ([(2, 1, 5, None), (0, 9, 6, 2)], "node ids must be positive, got 0, 9"),
+            # a wrong label on record 1 before a time decrease on record 2
+            ([(2, 1, 5, None), (3, 9, 6, 2), (1, 1, 4, None)], "record 1: scenario label 2"),
+            # a non-positive id on record 1 before a wrong label on record 2
+            ([(2, 1, 5, None), (3, -4, 6, None), (7, 1, 7, 3)], "node ids must be positive, got 3, -4"),
+            # a time decrease on record 1 before a non-positive id on record 2
+            ([(2, 1, 5, None), (3, 1, 4, None), (0, 1, 7, None)], "record 1: timestamps decrease"),
+        ],
+    )
+    def test_error_order(self, records, message):
+        log = EdgeLog([EdgeRecord(*rec) for rec in records])
+        with pytest.raises(ValueError) as fast:
+            replay(log)
+        with pytest.raises(ValueError) as slow:
+            reference_replay(log)
+        assert str(fast.value) == str(slow.value)
+        assert str(fast.value).startswith(message)
+
+    def test_random_faults(self):
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            n = int(rng.integers(1, 9))
+            log = EdgeLog.from_columns(
+                rng.integers(-1, 6, n),
+                rng.integers(-1, 6, n),
+                np.cumsum(rng.integers(-1, 3, n)),
+                rng.integers(0, 6, n) * (rng.random(n) < 0.3),
+            )
+            for seeded in (True, False):
+                _assert_same_replay(log, seeded)
+
+    def test_classify_edge_log_is_the_replayed_scenario(self, theta):
+        log = simulate(SimulationConfig(params=theta, n_edges=500, seed=2)).log
+        reversed_times = EdgeLog.from_columns(log.source, log.target, log.time[::-1])
+        for seeded in (True, False):
+            expected = reference_replay(EdgeLog.from_columns(log.source, log.target, log.time), seeded)
+            assert classify_edge_log(reversed_times, seeded) == expected.scenario.tolist()
 
 
 class TestReplay:
