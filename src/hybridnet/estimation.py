@@ -26,7 +26,6 @@ from scipy.optimize import minimize
 from .likelihood import (
     SufficientStats,
     _kernel_log_likelihood,
-    _log_likelihood_parts,
     _scenario_log_likelihood,
     log_likelihood,
     mle_scenarios,
@@ -200,7 +199,8 @@ def fit_nelder_mead(stats: SufficientStats, config: NelderMeadConfig) -> Estimat
     probs, boundary = _scenario_block(stats)
 
     def neg_ll(x: np.ndarray) -> float:
-        val = _log_likelihood_parts(stats, *probs, *_kernel(x))
+        # the scenario term is constant during the search, so it is left out
+        val = _kernel_log_likelihood(stats, *_kernel(x))
         return -val if math.isfinite(val) else 1e300
 
     start = config.initial_point
@@ -234,7 +234,7 @@ def fit_nelder_mead(stats: SufficientStats, config: NelderMeadConfig) -> Estimat
             break
         if res is None or attempt.fun < res.fun:
             res = attempt
-    components = (*probs, *_kernel(res.x))
+    point = _params_from_components((*probs, *_kernel(res.x)))
     diagnostics = {
         "iterations": total_nit,
         "function_evals": total_nfev,
@@ -244,9 +244,9 @@ def fit_nelder_mead(stats: SufficientStats, config: NelderMeadConfig) -> Estimat
     if boundary:
         diagnostics["boundary"] = "a scenario frequency sits on the regularity boundary"
     return EstimationResult(
-        point=_params_from_components(components),
+        point=point,
         converged=bool(res.success) and not boundary,
-        log_likelihood=_log_likelihood_parts(stats, *components),
+        log_likelihood=log_likelihood(stats, point),
         diagnostics=diagnostics,
     )
 
@@ -308,8 +308,7 @@ def fit_mh(stats: SufficientStats, config: MhConfig) -> EstimationResult:
         outside the prior support."""
         if not (0.0 <= x[0] <= 1.0 and x[1] <= log_delta_max and x[2] <= log_delta_max):
             return -math.inf, -math.inf
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ll = _kernel_log_likelihood(stats, x[0], math.exp(x[1]), math.exp(x[2]))
+        ll = _kernel_log_likelihood(stats, x[0], math.exp(x[1]), math.exp(x[2]))
         if not math.isfinite(ll):
             return -math.inf, -math.inf
         return ll + x[1] + x[2], ll
@@ -320,9 +319,6 @@ def fit_mh(stats: SufficientStats, config: MhConfig) -> EstimationResult:
         x = np.array([rng.random(), *np.log(deltas)])
     else:
         x = np.array([start.p, math.log(start.delta_in), math.log(start.delta_out)])
-    lp, ll = log_target(x)
-    if start is not None and not (math.isfinite(lp) and math.isfinite(log_likelihood(stats, start))):
-        raise ValueError("initial point has zero posterior density")
     theta = np.array([x[0], *np.exp(x[1:])])  # (p, delta_in, delta_out)
 
     steps = {**default_step_sizes(), **dict(config.step_sizes)}
@@ -336,27 +332,34 @@ def fit_mh(stats: SufficientStats, config: MhConfig) -> EstimationResult:
     running_rows: list[np.ndarray] = []
     cumulative = np.zeros(3)
     accepts = 0
-    for t in range(1, burn_in + config.iterations + 1):
-        proposal = x + chol @ rng.standard_normal(3)
-        lpp, llp = log_target(proposal)
-        accepted = rng.random() < accept_probability(lp, lpp)
-        if accepted:
-            x, lp, ll = proposal, lpp, llp
-            theta = np.array([x[0], *np.exp(x[1:])])
-        if t <= burn_in:
-            history[t - 1] = x
-            if t in adapt_at:  # from the later half of the draws so far
-                chol = _adapted_proposal(history[t // 2 : t], chol)
-            continue
-        accepts += accepted
-        cumulative += theta
-        if (t - burn_in) % config.thinning == 0:
-            kept_iterations.append(t)
-            kept_kernel.append(theta)
-            kept_ll.append(ll)
-            # running means over every post-burn-in draw so far, sampled
-            # at the thinning points (the usual running-mean plot)
-            running_rows.append(cumulative / (t - burn_in))
+    # exp can underflow a proposed offset to zero; its -inf is a rejection
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lp, ll = log_target(x)
+        if start is not None and not (
+            math.isfinite(lp) and math.isfinite(log_likelihood(stats, start))
+        ):
+            raise ValueError("initial point has zero posterior density")
+        for t in range(1, burn_in + config.iterations + 1):
+            proposal = x + chol @ rng.standard_normal(3)
+            lpp, llp = log_target(proposal)
+            accepted = rng.random() < accept_probability(lp, lpp)
+            if accepted:
+                x, lp, ll = proposal, lpp, llp
+                theta = np.array([x[0], *np.exp(x[1:])])
+            if t <= burn_in:
+                history[t - 1] = x
+                if t in adapt_at:  # from the later half of the draws so far
+                    chol = _adapted_proposal(history[t // 2 : t], chol)
+                continue
+            accepts += accepted
+            cumulative += theta
+            if (t - burn_in) % config.thinning == 0:
+                kept_iterations.append(t)
+                kept_kernel.append(theta)
+                kept_ll.append(ll)
+                # running means over every post-burn-in draw so far, sampled
+                # at the thinning points (the usual running-mean plot)
+                running_rows.append(cumulative / (t - burn_in))
 
     n_kept = len(kept_kernel)
     probs = np.zeros((n_kept, 5))

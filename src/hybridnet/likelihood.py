@@ -33,6 +33,14 @@ class SufficientStats:
     ``target_in_degree`` is filled for scenarios 1 and 2, ``source_out_degree``
     for scenarios 2 and 3 (-1 elsewhere).  ``node_count`` is the vertex count
     and ``mass`` the total degree mass (edge count) just before the step.
+
+    A kernel step picks an endpoint of degree ``d`` with probability
+    ``p (d + delta) / (k + delta v) + (1 - p) / v`` (``v`` the node count,
+    ``k`` the mass), whose log is, with ``r = k / v``,
+    ``log((p d + (1 - p) r + delta) / (r + delta)) - log v``.
+    ``_kernel_steps`` caches ``(d, r, n_in, sum of log v)`` over the
+    in-steps (scenarios 1 and 2) followed by the out-steps (2 and 3);
+    ``n_in`` is where the out-steps start.
     """
 
     scenario: np.ndarray
@@ -51,20 +59,13 @@ class SufficientStats:
         return tuple(int(c) for c in counts[1:6])
 
     @cached_property
-    def _in_arrays(self):
-        sel = (self.scenario == 1) | (self.scenario == 2)
-        d = self.target_in_degree[sel].astype(float)
-        v = self.node_count[sel].astype(float)
-        k = self.mass[sel].astype(float)
-        return d, v, k, float(np.log(v).sum())
-
-    @cached_property
-    def _out_arrays(self):
-        sel = (self.scenario == 2) | (self.scenario == 3)
-        d = self.source_out_degree[sel].astype(float)
-        v = self.node_count[sel].astype(float)
-        k = self.mass[sel].astype(float)
-        return d, v, k, float(np.log(v).sum())
+    def _kernel_steps(self):
+        sel_in = (self.scenario == 1) | (self.scenario == 2)
+        sel_out = (self.scenario == 2) | (self.scenario == 3)
+        d = np.concatenate((self.target_in_degree[sel_in], self.source_out_degree[sel_out]))
+        v = np.concatenate((self.node_count[sel_in], self.node_count[sel_out])).astype(float)
+        r = np.concatenate((self.mass[sel_in], self.mass[sel_out])) / v
+        return d.astype(float), r, int(sel_in.sum()), float(np.log(v).sum())
 
 
 def replay(log: EdgeLog, seeded: bool = True) -> SufficientStats:
@@ -108,25 +109,28 @@ def _scenario_log_likelihood(stats, alpha, beta, gamma, xi, eta):
     return ll
 
 
-def _kernel_log_likelihood(stats, p, delta_in, delta_out, ll=0.0):
+def _kernel_num_den(stats, p, delta_in, delta_out):
+    """Per kernel step, ``p d + (1 - p) r + delta`` and ``r + delta``."""
+    d, r, n_in, _ = stats._kernel_steps
+    delta = np.empty_like(r)
+    delta[:n_in], delta[n_in:] = delta_in, delta_out
+    num = p * d
+    num += (1.0 - p) * r
+    num += delta
+    return num, np.add(r, delta, out=delta)
+
+
+def _kernel_log_likelihood(stats, p, delta_in, delta_out):
     """The endpoint-selection terms, which involve only ``p`` and the
-    offsets, added to ``ll``."""
-    d, v, k, log_v_sum = stats._in_arrays
-    if d.size:
-        ll += float(np.log((p * d + delta_in) * v + (1.0 - p) * k).sum())
-        ll -= log_v_sum + float(np.log(k + v * delta_in).sum())
-    d, v, k, log_v_sum = stats._out_arrays
-    if d.size:
-        ll += float(np.log((p * d + delta_out) * v + (1.0 - p) * k).sum())
-        ll -= log_v_sum + float(np.log(k + v * delta_out).sum())
-    return ll
+    offsets: one log over the kernel steps' ratios (see ``SufficientStats``).
 
-
-def _log_likelihood_parts(stats, alpha, beta, gamma, xi, eta, p, delta_in, delta_out):
-    ll = _scenario_log_likelihood(stats, alpha, beta, gamma, xi, eta)
-    if ll == -math.inf:
-        return ll
-    return _kernel_log_likelihood(stats, p, delta_in, delta_out, ll)
+    The numerator stays a sum of nonnegative terms.  The shorter
+    ``log1p(p (d - r) / (r + delta))`` cancels in ``r + delta - p r`` and
+    loses digits where ``p`` is near one and ``delta`` is small.
+    """
+    num, den = _kernel_num_den(stats, p, delta_in, delta_out)
+    num /= den
+    return float(np.log(num, out=num).sum()) - stats._kernel_steps[3]
 
 
 def log_likelihood(stats: SufficientStats, theta: HybridParams) -> float:
@@ -135,31 +139,22 @@ def log_likelihood(stats: SufficientStats, theta: HybridParams) -> float:
     Returns ``-inf`` when a scenario with positive count has zero
     probability.  The seed edge is deterministic and contributes nothing.
     """
-    return _log_likelihood_parts(
-        stats,
-        theta.alpha,
-        theta.beta,
-        theta.gamma,
-        theta.xi,
-        theta.eta,
-        theta.p,
-        theta.delta_in,
-        theta.delta_out,
-    )
+    ll = _scenario_log_likelihood(stats, theta.alpha, theta.beta, theta.gamma, theta.xi, theta.eta)
+    if ll == -math.inf:
+        return ll
+    return ll + _kernel_log_likelihood(stats, theta.p, theta.delta_in, theta.delta_out)
 
 
 def score(stats: SufficientStats, theta: HybridParams) -> np.ndarray:
-    """Analytic gradient of the log-likelihood in (delta_in, delta_out, p)."""
-    p, din, dout = theta.p, theta.delta_in, theta.delta_out
-    d, v, k, _ = stats._in_arrays
-    denom = (p * d + din) * v + (1.0 - p) * k
-    g_din = float((v / denom).sum() - (v / (k + v * din)).sum()) if d.size else 0.0
-    g_p = float(((d * v - k) / denom).sum()) if d.size else 0.0
-    d, v, k, _ = stats._out_arrays
-    denom = (p * d + dout) * v + (1.0 - p) * k
-    g_dout = float((v / denom).sum() - (v / (k + v * dout)).sum()) if d.size else 0.0
-    g_p += float(((d * v - k) / denom).sum()) if d.size else 0.0
-    return np.array([g_din, g_dout, g_p])
+    """Analytic gradient of the log-likelihood in (delta_in, delta_out, p):
+    per kernel step ``1 / num - 1 / (r + delta)`` for the step's offset and
+    ``(d - r) / num``, with ``num = p d + (1 - p) r + delta``, for ``p``."""
+    d, r, n_in, _ = stats._kernel_steps
+    num, den = _kernel_num_den(stats, theta.p, theta.delta_in, theta.delta_out)
+    inv = np.reciprocal(num, out=num)
+    g_p = float(((d - r) * inv).sum())
+    inv -= np.reciprocal(den, out=den)
+    return np.array([float(inv[:n_in].sum()), float(inv[n_in:].sum()), g_p])
 
 
 class ScenarioMle(NamedTuple):

@@ -289,3 +289,44 @@ def reference_replay(log, seeded=True):
         mass=np.arange(len(scenario), dtype=np.int64) + (1 if seeded else 0),
         seeded=seeded,
     )
+
+
+def _reference_direction_arrays(stats, scenarios, degree):
+    sel = (stats.scenario == scenarios[0]) | (stats.scenario == scenarios[1])
+    d = degree[sel].astype(float)
+    v = stats.node_count[sel].astype(float)
+    k = stats.mass[sel].astype(float)
+    return d, v, k, float(np.log(v).sum())
+
+
+def reference_kernel_log_likelihood(stats, p, delta_in, delta_out):
+    """The two-pass kernel log-likelihood that the one-array evaluation
+    replaced: per direction, sum log((p d + delta) v + (1 - p) k) minus
+    sum log v and sum log(k + v delta).  Kept as its oracle."""
+    ll = 0.0
+    for scenarios, degree, delta in (
+        ((1, 2), stats.target_in_degree, delta_in),
+        ((2, 3), stats.source_out_degree, delta_out),
+    ):
+        d, v, k, log_v_sum = _reference_direction_arrays(stats, scenarios, degree)
+        if d.size:
+            ll += float(np.log((p * d + delta) * v + (1.0 - p) * k).sum())
+            ll -= log_v_sum + float(np.log(k + v * delta).sum())
+    return ll
+
+
+def reference_score(stats, theta):
+    """The two-pass analytic score in (delta_in, delta_out, p) that the
+    one-array evaluation replaced.  Kept as its oracle."""
+    p = theta.p
+    grad = np.zeros(3)
+    for i, scenarios, degree, delta in (
+        (0, (1, 2), stats.target_in_degree, theta.delta_in),
+        (1, (2, 3), stats.source_out_degree, theta.delta_out),
+    ):
+        d, v, k, _ = _reference_direction_arrays(stats, scenarios, degree)
+        if d.size:
+            denom = (p * d + delta) * v + (1.0 - p) * k
+            grad[i] = float((v / denom).sum() - (v / (k + v * delta)).sum())
+            grad[2] += float(((d * v - k) / denom).sum())
+    return grad

@@ -23,7 +23,8 @@ from hybridnet import (
     replay,
     simulate,
 )
-from conftest import effective_sample_size, log_from_pairs
+from hybridnet import estimation
+from conftest import effective_sample_size, log_from_pairs, reference_kernel_log_likelihood
 
 FIXED_START = HybridParams.fill_gamma(1 / 3, 1 / 3, p=0.5, delta_in=1.0, delta_out=1.0)
 TABLE1 = HybridParams.fill_gamma(0.1, 0.8, p=0.8, delta_in=1.3, delta_out=0.7)
@@ -152,6 +153,17 @@ class TestMetropolisHastings:
         assert a.point == b.point
         c = fit_mh(stats, MhConfig(burn_in=50, iterations=500, thinning=50, seed=22))
         assert c.point != a.point
+
+    def test_same_chain_as_two_pass_kernel(self, monkeypatch):
+        log = simulate(SimulationConfig(params=TABLE1, n_edges=10_000, seed=1)).log
+        stats = replay(log)
+        config = MhConfig(burn_in=2_000, iterations=4_000, thinning=100, seed=3)
+        fast = fit_mh(stats, config)
+        monkeypatch.setattr(estimation, "_kernel_log_likelihood", reference_kernel_log_likelihood)
+        slow = fit_mh(stats, config)
+        assert 0.0 < fast.acceptance_rate < 1.0
+        assert fast.acceptance_rate == slow.acceptance_rate
+        assert fast.point == slow.point
 
     def test_zero_density_start_rejected(self, sim_stats):
         _, stats = sim_stats

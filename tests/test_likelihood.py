@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,15 @@ from hybridnet import (
     simulate,
 )
 from hybridnet.degrees import DegreeCounts
-from conftest import ORACLE_SETTINGS, enumerate_histories, log_from_pairs, reference_replay
+from hybridnet.likelihood import _kernel_log_likelihood
+from conftest import (
+    ORACLE_SETTINGS,
+    enumerate_histories,
+    log_from_pairs,
+    reference_kernel_log_likelihood,
+    reference_replay,
+    reference_score,
+)
 
 
 @pytest.fixture
@@ -249,6 +258,63 @@ class TestScore:
         # the single step has target in-degree * node count equal to the mass
         stats = replay(log_from_pairs([(1, 1)]))
         assert score(stats, theta)[2] == pytest.approx(0.0, abs=1e-15)
+
+
+class TestKernelOracle:
+    """The one-array kernel log-likelihood and score agree with the
+    two-pass evaluation they replaced: the log-likelihood to 1e-12 per
+    kernel term (``-inf`` exactly where the reference is), the score to
+    1e-9 relative."""
+
+    CORNERS = [(p, delta) for p in (0.0, 1.0 - 1e-9, 1.0) for delta in (1e-9, 1e-6, 1.0, 100.0)]
+
+    @staticmethod
+    def _assert_kernel_matches(stats, p, delta_in, delta_out):
+        fast = _kernel_log_likelihood(stats, p, delta_in, delta_out)
+        slow = reference_kernel_log_likelihood(stats, p, delta_in, delta_out)
+        if slow == -math.inf:
+            assert fast == -math.inf
+            return
+        n1, n2, n3, _, _ = stats.scenario_counts
+        assert abs(fast - slow) <= 1e-12 * max(n1 + 2 * n2 + n3, 1), (p, delta_in, delta_out)
+
+    @staticmethod
+    def _assert_score_matches(stats, theta):
+        np.testing.assert_allclose(score(stats, theta), reference_score(stats, theta), rtol=1e-9)
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_SETTINGS))
+    def test_matches_reference_on_oracle_settings(self, name):
+        params = ORACLE_SETTINGS[name]
+        for seed in range(12):
+            config = SimulationConfig(params=params, n_edges=400, seed=seed, log_scenarios=False)
+            log = simulate(config).log
+            for seeded in (True, False):
+                stats = replay(log, seeded)
+                self._assert_kernel_matches(stats, params.p, params.delta_in, params.delta_out)
+                self._assert_score_matches(stats, params)
+
+    @pytest.mark.parametrize("seeded", [True, False])
+    def test_matches_reference_at_corners(self, table1_params, seeded):
+        config = SimulationConfig(params=table1_params, n_edges=10_000, seed=3, log_scenarios=False)
+        log = simulate(config).log
+        stats = replay(log, seeded)
+        for p, delta in self.CORNERS:
+            self._assert_kernel_matches(stats, p, delta, delta)
+            self._assert_kernel_matches(stats, p, delta, 1.0)
+            theta = replace(table1_params, p=p, delta_in=delta, delta_out=delta)
+            self._assert_score_matches(stats, theta)
+
+    def test_zero_offset_matches_reference(self, table1_params):
+        # the sampler reaches delta = 0 when exp underflows a proposed offset
+        config = SimulationConfig(params=table1_params, n_edges=2000, seed=4, log_scenarios=False)
+        log = simulate(config).log
+        for seeded in (True, False):
+            stats = replay(log, seeded)
+            with np.errstate(divide="ignore"):
+                for p in (0.0, 0.5, 1.0):
+                    for delta_in, delta_out in ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0)):
+                        self._assert_kernel_matches(stats, p, delta_in, delta_out)
+                assert _kernel_log_likelihood(stats, 1.0, 0.0, 0.0) == -math.inf
 
 
 class TestScenarioMle:
