@@ -3,7 +3,7 @@
 Subcommands: ``simulate``, ``fit``, ``table``, ``ccdf``, ``limit-pmf`` and
 ``classify``.  Every command is deterministic given ``--seed`` and records
 its full configuration in its outputs.  Exit codes: 0 on success, 2 on
-validation errors, 3 when the simplex search reports a convergence failure.
+validation errors, 3 when the maximum-likelihood search does not converge.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_CONVERGENCE = 3
 
-# default simplex start of ``fit`` and ``table``
+# default start of the maximum-likelihood search of ``fit`` and ``table``
 FIXED_START = HybridParams.fill_gamma(1 / 3, 1 / 3, p=0.5, delta_in=1.0, delta_out=1.0)
 
 
@@ -149,7 +149,7 @@ def cmd_fit(args) -> int:
         export(result, Path(args.trace_out))
     print(f"method={args.method} converged={result.converged} estimate -> {out}")
     if not result.converged:
-        print("simplex search did not converge (boundary or iteration budget)", file=sys.stderr)
+        print("fit did not converge (boundary, iteration budget or line search)", file=sys.stderr)
         return EXIT_CONVERGENCE
     return EXIT_OK
 
@@ -275,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--iterations", type=int, default=20_000)
     pf.add_argument("--thinning", type=int, default=500)
     pf.add_argument("--delta-max", type=float, default=100.0)
-    pf.add_argument("--init", default=None, help="simplex start as comma list (see --help)")
+    pf.add_argument("--init", default=None, help="search start as comma list (see --help)")
     pf.add_argument("--out", default=None)
     pf.add_argument("--trace-out", default=None)
     pf.add_argument(

@@ -15,7 +15,6 @@ from typing import Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import betaln, gammaln, xlog1py
 
 from .model import DerivedConstants, HybridParams, NetworkState, derived_constants
 
@@ -110,6 +109,7 @@ def nb_pmf(r: float, q: float, m: int) -> float:
         raise ValueError(f"q must lie in (0, 1], got {q}")
     if m < 0:
         return 0.0
+    from scipy.special import gammaln, xlog1py  # lazy: keeps scipy out of `import hybridnet`
     logp = gammaln(r + m) - gammaln(r) - gammaln(m + 1.0) + r * math.log(q) + xlog1py(m, -q)
     return float(math.exp(logp))
 
@@ -120,6 +120,7 @@ def _mixture_pmf(m: np.ndarray, r: float, rate: float) -> np.ndarray:
     Integrating the exponential clock gives
     ``rate * Gamma(r+m) / (Gamma(r) m!) * B(rate + r, m + 1)``.
     """
+    from scipy.special import betaln, gammaln
     m = np.asarray(m, dtype=float)
     return rate * np.exp(
         gammaln(r + m) - gammaln(r) - gammaln(m + 1.0) + betaln(rate + r, m + 1.0)
@@ -137,6 +138,7 @@ def _mixture_pmf_quadrature(m: np.ndarray, r: float, rate: float) -> np.ndarray:
     1e-14, doubling the node count until two successive estimates agree
     well inside the 1e-10 certification tolerance.
     """
+    from scipy.special import gammaln, xlog1py
     m = np.asarray(m, dtype=float)[:, None]
     t_max = -math.log(1e-14) / rate
     prev = None

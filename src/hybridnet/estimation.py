@@ -2,29 +2,28 @@
 
 The scenario probabilities enter the likelihood only through a multinomial
 term; the kernel terms involve only (p, delta_in, delta_out).  Both
-estimators use that split.  The simplex search fixes the scenario block at
-its closed-form maximum (the empirical frequencies) and searches the three
-kernel coordinates (logit p, log delta_in, log delta_out).  Under flat
-priors the posterior factorises the same way: the sampler draws the
-scenario block exactly from its Dirichlet posterior and runs a random-walk
+estimators use that split.  The maximum-likelihood search fixes the
+scenario block at its closed-form maximum (the empirical frequencies) and
+runs a Newton ascent on (p, log delta_in, log delta_out).  Under flat priors
+the posterior factorises the same way: the sampler draws the scenario block
+exactly from its Dirichlet posterior and runs a random-walk
 Metropolis-Hastings chain, with a proposal adapted during burn-in, on
-(p, log delta_in, log delta_out) only.  The integrated pipeline uses the
-sampler's posterior mean to seed the simplex search, which removes its
-sensitivity to the initial simplex without changing the optimum.  ``fit``
-selects one of the three estimators by name.
+(p, log delta_in, log delta_out) only.  The integrated pipeline starts the
+Newton search at the sampler's posterior point estimate.  ``fit`` selects
+one of the three estimators by name.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .likelihood import (
     SufficientStats,
+    _kernel_derivatives,
     _kernel_log_likelihood,
     _scenario_log_likelihood,
     log_likelihood,
@@ -34,39 +33,26 @@ from .model import HybridParams
 
 SCENARIO_NAMES = ("alpha", "beta", "gamma", "xi", "eta")
 
-_CLIP = 500.0  # transformed-coordinate clamp; exp(+-500) stays representable
 _PROB_EPS = 1e-9
-_MAX_RESTARTS = 10
+_MAX_STEP = 1.0  # longest Newton step per search coordinate; an uncapped one can overflow exp
+_EIG_RTOL = 1e-8  # eigenvalue floor of -H, relative to its largest magnitude
+_ARMIJO = 1e-4  # sufficient-increase fraction of the line search
+_MAX_HALVINGS = 50
 _KERNEL_COORDINATES = ("p", "log_delta_in", "log_delta_out")
 _ADAPT_POINTS = 10  # proposal adaptations, evenly spaced over burn-in
 _ADAPT_SCALE = 2.38**2 / 3  # optimal random-walk scaling in three dimensions
 _PD_RTOL = 1e-12  # smallest/largest covariance eigenvalue that counts as positive definite
 
 
-def _sigmoid(x: float) -> float:
-    if x >= 0:
-        return 1.0 / (1.0 + math.exp(-min(x, _CLIP)))
-    z = math.exp(max(x, -_CLIP))
-    return z / (1.0 + z)
-
-
-def _logit(p: float) -> float:
-    p = min(max(p, _PROB_EPS), 1.0 - _PROB_EPS)
-    return math.log(p / (1.0 - p))
-
-
 @dataclass(frozen=True)
 class NelderMeadConfig:
-    """Simplex-search settings.
-
-    The search covers (logit p, log delta_in, log delta_out); only those
-    three parameters of ``initial_point`` are read, because the scenario
-    block is fixed at the empirical frequencies.  ``scale`` spreads the
-    initial simplex per search coordinate (a scalar is broadcast to 3).
-    """
+    """Settings of ``fit_nelder_mead``, a Newton search that keeps the name
+    of the simplex search it replaced.  ``max_iters`` bounds the Newton
+    steps.  It converges when the Newton decrement g'(-H)^-1 g / 2, the gain
+    the quadratic model predicts, is at most ``f_tol``, or when a step moves
+    no coordinate of (p, log delta_in, log delta_out) by over ``x_tol``."""
 
     initial_point: HybridParams
-    scale: float | Sequence[float] = 0.25
     max_iters: int = 4000
     f_tol: float = 1e-10
     x_tol: float = 1e-8
@@ -156,7 +142,7 @@ def accept_probability(current_log_target: float, proposal_log_target: float) ->
 
 
 # ---------------------------------------------------------------------------
-# Nelder-Mead over the kernel coordinates
+# Newton ascent over the kernel coordinates
 # ---------------------------------------------------------------------------
 
 
@@ -178,75 +164,78 @@ def _scenario_block(stats: SufficientStats) -> tuple[list[float], bool]:
     return probs, not mle.regular
 
 
-def _kernel(x: np.ndarray) -> tuple[float, float, float]:
-    """(p, delta_in, delta_out) from the search coordinates
-    (logit p, log delta_in, log delta_out)."""
-    log_deltas = np.clip(x[1:], -_CLIP, _CLIP)
-    return _sigmoid(float(x[0])), math.exp(float(log_deltas[0])), math.exp(float(log_deltas[1]))
+def _search_derivatives(stats: SufficientStats, x: np.ndarray):
+    """Kernel log-likelihood, gradient and Hessian in x = (log delta_in, log delta_out, p)."""
+    deltas = np.exp(x[:2])
+    ll, grad, hess = _kernel_derivatives(stats, x[2], *deltas)
+    jac = np.append(deltas, 1.0)
+    grad *= jac
+    hess *= np.outer(jac, jac)
+    hess[[0, 1], [0, 1]] += grad[:2]  # d2/du2 = delta^2 d2/ddelta2 + delta d/ddelta
+    return ll, grad, hess
+
+
+def _newton_step(grad: np.ndarray, hess: np.ndarray, n: int) -> np.ndarray:
+    """Solve (-H) s = g over the first ``n`` search coordinates (``n = 2``
+    holds p), with nonpositive eigenvalues of -H raised to a small floor."""
+    eigenvalues, vectors = np.linalg.eigh(-hess[:n, :n])
+    eigenvalues[eigenvalues <= 0.0] = max(_EIG_RTOL * np.abs(eigenvalues).max(), 1e-300)
+    return np.append(vectors @ ((vectors.T @ grad[:n]) / eigenvalues), np.zeros(3 - n))
 
 
 def fit_nelder_mead(stats: SufficientStats, config: NelderMeadConfig) -> EstimationResult:
-    """Maximise the log-likelihood with a Nelder-Mead simplex search.
+    """Maximise the log-likelihood by damped Newton ascent with the analytic
+    Hessian, from the kernel coordinates of ``config.initial_point``.
 
-    The scenario block is fixed at its exact separable maximum (the
-    empirical frequencies), and the search runs over the three kernel
-    coordinates (logit p, log delta_in, log delta_out), so every candidate
-    satisfies the parameter constraints by construction.  Only ``p``,
-    ``delta_in`` and ``delta_out`` of the initial point are read.
-    Exhaustion of the iteration budget or a collapsed simplex is reported as
-    ``converged=False`` rather than an exception.
-    """
+    The scenario block is fixed at its exact maximum, the empirical
+    frequencies.  Steps are capped in length and backtracked to the Armijo
+    condition.  A step that would take ``p`` out of [0, 1] stops on the
+    bound; ``p`` is held on a bound that the Newton step points out of
+    (``diagnostics["active_bound"]``).  ``converged`` is False when
+    ``max_iters`` runs out, the line search finds no ascent, or a scenario
+    frequency is on the regularity boundary."""
     probs, boundary = _scenario_block(stats)
-
-    def neg_ll(x: np.ndarray) -> float:
-        # the scenario term is constant during the search, so it is left out
-        val = _kernel_log_likelihood(stats, *_kernel(x))
-        return -val if math.isfinite(val) else 1e300
-
     start = config.initial_point
-    x0 = np.array([_logit(start.p), math.log(start.delta_in), math.log(start.delta_out)])
-    scale = np.broadcast_to(np.asarray(config.scale, dtype=float), (3,))
-    simplex = np.vstack([x0, x0 + np.diag(scale)])
-    # The likelihood carries a flat ridge in (p, delta_in, delta_out); a single
-    # simplex pass can collapse on it.  Restart from the incumbent until the
-    # objective stops improving (standard stabilisation, bounded restarts).
-    res = None
-    total_nit = total_nfev = 0
-    for restart in range(_MAX_RESTARTS):
-        attempt = minimize(
-            neg_ll,
-            x0 if res is None else res.x,
-            method="Nelder-Mead",
-            options={
-                "maxiter": config.max_iters,
-                "maxfev": 2 * config.max_iters,
-                "fatol": config.f_tol,
-                "xatol": config.x_tol,
-                "adaptive": True,
-                **({"initial_simplex": simplex} if res is None else {}),
-            },
-        )
-        total_nit += attempt.nit
-        total_nfev += attempt.nfev
-        if res is not None and res.fun - attempt.fun <= config.f_tol:
-            if attempt.fun < res.fun:
-                res = attempt
-            break
-        if res is None or attempt.fun < res.fun:
-            res = attempt
-    point = _params_from_components((*probs, *_kernel(res.x)))
-    diagnostics = {
-        "iterations": total_nit,
-        "function_evals": total_nfev,
-        "restarts": restart,
-        "message": str(res.message),
-    }
+    x = np.array([math.log(start.delta_in), math.log(start.delta_out), start.p])
+    converged, message = False, "iteration budget exhausted"
+    with np.errstate(all="ignore"):  # a trial step may overflow; it is then rejected
+        ll, grad, hess = _search_derivatives(stats, x)
+        evals = 1
+        for iteration in range(1, config.max_iters + 1):
+            step = _newton_step(grad, hess, 3)
+            # p on a bound that the step points out of is held there
+            active = x[2] if x[2] in (0.0, 1.0) and (step[2] > 0.0) == (x[2] == 1.0) else None
+            step = step if active is None else _newton_step(grad, hess, 2)
+            if 0.5 * float(grad @ step) <= config.f_tol or np.abs(step).max() <= config.x_tol:
+                converged, message = True, "Newton decrement or step within tolerance"
+                break
+            step *= min(1.0, _MAX_STEP / np.abs(step).max())
+            edge = float(step[2] > 0.0)  # the bound that p moves towards
+            t_edge = (edge - x[2]) / step[2] if step[2] else math.inf
+            t = min(1.0, t_edge)
+            for _ in range(_MAX_HALVINGS):
+                trial = x + t * step
+                # exactly on the edge, so that the bound can become active
+                trial[2] = edge if t == t_edge else min(max(trial[2], 0.0), 1.0)
+                trial_ll, trial_grad, trial_hess = _search_derivatives(stats, trial)
+                evals += 1
+                if np.isfinite(trial_hess).all() and trial_ll >= ll + _ARMIJO * t * (grad @ step):
+                    break
+                t *= 0.5
+            else:
+                message = "line search found no ascent"
+                break
+            x, ll, grad, hess = trial, trial_ll, trial_grad, trial_hess
+    point = _params_from_components((*probs, x[2], *np.exp(x[:2])))
+    diagnostics = {"iterations": iteration, "function_evals": evals, "restarts": 0, "message": message}
+    if active is not None:
+        diagnostics["active_bound"] = f"p = {active:g}"
     if boundary:
         diagnostics["boundary"] = "a scenario frequency sits on the regularity boundary"
     return EstimationResult(
         point=point,
-        converged=bool(res.success) and not boundary,
-        log_likelihood=log_likelihood(stats, point),
+        converged=converged and not boundary,
+        log_likelihood=_scenario_log_likelihood(stats, *probs) + ll,
         diagnostics=diagnostics,
     )
 
@@ -410,12 +399,9 @@ def _params_from_components(comp) -> HybridParams:
 def fit_integrated(
     stats: SufficientStats, mh_config: MhConfig, nm_config_template: NelderMeadConfig
 ) -> EstimationResult:
-    """Coarse posterior sampling followed by a seeded simplex search.
-
-    Runs the sampler, then the simplex search started at the posterior
-    point estimate; returns the simplex result with the sampler's trace and
-    acceptance statistics attached.
-    """
+    """Coarse posterior sampling, then the Newton search from the posterior
+    point estimate; returns the Newton result with the sampler's trace and
+    acceptance statistics attached."""
     mh = fit_mh(stats, mh_config)
     nm = fit_nelder_mead(stats, replace(nm_config_template, initial_point=mh.point))
     nm.trace = mh.trace
@@ -435,8 +421,8 @@ def fit(
     stats: SufficientStats, method: str, mh_config: MhConfig, nm_config: NelderMeadConfig
 ) -> EstimationResult:
     """Run the estimator named ``method``, one of ``FIT_METHODS``: the
-    simplex search (``"nm"``), the sampler (``"mh"``) or the sampler-seeded
-    simplex search (``"integrated"``)."""
+    Newton search (``"nm"``), the sampler (``"mh"``) or the sampler-seeded
+    Newton search (``"integrated"``)."""
     if method == "nm":
         return fit_nelder_mead(stats, nm_config)
     if method == "mh":

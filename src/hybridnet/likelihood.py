@@ -16,7 +16,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .degrees import DegreeCounts, strict_tail_fractions
 from .model import EdgeLog, HybridParams, _counts_before, _novelty_pass
@@ -145,16 +144,28 @@ def log_likelihood(stats: SufficientStats, theta: HybridParams) -> float:
     return ll + _kernel_log_likelihood(stats, theta.p, theta.delta_in, theta.delta_out)
 
 
+def _kernel_derivatives(stats, p, delta_in, delta_out):
+    """The kernel log-likelihood with its gradient and Hessian in
+    (delta_in, delta_out, p), from one pass.  With num = p d + (1 - p) r + delta,
+    the per-step terms are 1/num - 1/(r + delta) and (d - r)/num (gradient),
+    1/(r + delta)^2 - 1/num^2, -(d - r)/num^2 and -((d - r)/num)^2 (Hessian);
+    no step has both offsets, so their entry is exactly 0."""
+    d, r, n_in, log_v_sum = stats._kernel_steps
+    num, den = _kernel_num_den(stats, p, delta_in, delta_out)
+    ll = float(np.log(num / den).sum()) - log_v_sum
+    inv_num, inv_den = np.reciprocal(num, out=num), np.reciprocal(den, out=den)
+    g_p, g_delta = (d - r) * inv_num, inv_num - inv_den
+    # per offset: gradient, -Hessian (a product, to keep g_delta's digits), -(p, offset) term
+    terms = np.stack((g_delta, g_delta * (inv_num + inv_den), g_p * inv_num))
+    (g_in, h_in, c_in), (g_out, h_out, c_out) = terms[:, :n_in].sum(1), terms[:, n_in:].sum(1)
+    grad = np.array([g_in, g_out, g_p.sum()])
+    hess = np.array([[h_in, 0.0, c_in], [0.0, h_out, c_out], [c_in, c_out, np.dot(g_p, g_p)]])
+    return ll, grad, -hess
+
+
 def score(stats: SufficientStats, theta: HybridParams) -> np.ndarray:
-    """Analytic gradient of the log-likelihood in (delta_in, delta_out, p):
-    per kernel step ``1 / num - 1 / (r + delta)`` for the step's offset and
-    ``(d - r) / num``, with ``num = p d + (1 - p) r + delta``, for ``p``."""
-    d, r, n_in, _ = stats._kernel_steps
-    num, den = _kernel_num_den(stats, theta.p, theta.delta_in, theta.delta_out)
-    inv = np.reciprocal(num, out=num)
-    g_p = float(((d - r) * inv).sum())
-    inv -= np.reciprocal(den, out=den)
-    return np.array([float(inv[:n_in].sum()), float(inv[n_in:].sum()), g_p])
+    """Analytic gradient of the log-likelihood in (delta_in, delta_out, p)."""
+    return _kernel_derivatives(stats, theta.p, theta.delta_in, theta.delta_out)[1]
 
 
 class ScenarioMle(NamedTuple):
@@ -258,6 +269,7 @@ def approx_score_solve(
             root = float(lo)
             break
         if flo * fhi < 0.0:
+            from scipy.optimize import brentq  # a lazy import keeps scipy out of `import hybridnet`
             root = float(brentq(f, lo, hi, xtol=1e-12, rtol=1e-14))
             break
     else:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from hybridnet import (
     EdgeLog,
@@ -16,6 +17,8 @@ from hybridnet import (
     step_distribution,
 )
 from hybridnet.degrees import degree_counts_from_arrays
+from hybridnet.estimation import EstimationResult, _params_from_components, _scenario_block
+from hybridnet.likelihood import _kernel_log_likelihood, log_likelihood
 
 
 @pytest.fixture
@@ -330,3 +333,96 @@ def reference_score(stats, theta):
             grad[i] = float((v / denom).sum() - (v / (k + v * delta)).sum())
             grad[2] += float(((d * v - k) / denom).sum())
     return grad
+
+
+_CLIP = 500.0  # transformed-coordinate clamp; exp(+-500) stays representable
+_PROB_EPS = 1e-9
+_MAX_RESTARTS = 10
+
+
+def _sigmoid(x: float) -> float:
+    if x >= 0:
+        return 1.0 / (1.0 + math.exp(-min(x, _CLIP)))
+    z = math.exp(max(x, -_CLIP))
+    return z / (1.0 + z)
+
+
+def _logit(p: float) -> float:
+    p = min(max(p, _PROB_EPS), 1.0 - _PROB_EPS)
+    return math.log(p / (1.0 - p))
+
+
+def _kernel(x: np.ndarray) -> tuple[float, float, float]:
+    """(p, delta_in, delta_out) from the search coordinates
+    (logit p, log delta_in, log delta_out)."""
+    log_deltas = np.clip(x[1:], -_CLIP, _CLIP)
+    return _sigmoid(float(x[0])), math.exp(float(log_deltas[0])), math.exp(float(log_deltas[1]))
+
+
+def reference_nelder_mead(stats, config, scale=0.25):
+    """The restarted Nelder-Mead simplex search that the Newton ascent of
+    ``fit_nelder_mead`` replaced, kept as its optimum oracle.  ``scale``
+    spreads the initial simplex per search coordinate (a scalar is
+    broadcast to 3); ``config`` is read for the start and the tolerances.
+
+    The scenario block is fixed at its exact separable maximum (the
+    empirical frequencies), and the search runs over the three kernel
+    coordinates (logit p, log delta_in, log delta_out), so every candidate
+    satisfies the parameter constraints by construction.  Only ``p``,
+    ``delta_in`` and ``delta_out`` of the initial point are read.
+    Exhaustion of the iteration budget or a collapsed simplex is reported as
+    ``converged=False`` rather than an exception.
+    """
+    probs, boundary = _scenario_block(stats)
+
+    def neg_ll(x: np.ndarray) -> float:
+        # the scenario term is constant during the search, so it is left out
+        val = _kernel_log_likelihood(stats, *_kernel(x))
+        return -val if math.isfinite(val) else 1e300
+
+    start = config.initial_point
+    x0 = np.array([_logit(start.p), math.log(start.delta_in), math.log(start.delta_out)])
+    scale = np.broadcast_to(np.asarray(scale, dtype=float), (3,))
+    simplex = np.vstack([x0, x0 + np.diag(scale)])
+    # The likelihood carries a flat ridge in (p, delta_in, delta_out); a single
+    # simplex pass can collapse on it.  Restart from the incumbent until the
+    # objective stops improving (standard stabilisation, bounded restarts).
+    res = None
+    total_nit = total_nfev = 0
+    for restart in range(_MAX_RESTARTS):
+        attempt = minimize(
+            neg_ll,
+            x0 if res is None else res.x,
+            method="Nelder-Mead",
+            options={
+                "maxiter": config.max_iters,
+                "maxfev": 2 * config.max_iters,
+                "fatol": config.f_tol,
+                "xatol": config.x_tol,
+                "adaptive": True,
+                **({"initial_simplex": simplex} if res is None else {}),
+            },
+        )
+        total_nit += attempt.nit
+        total_nfev += attempt.nfev
+        if res is not None and res.fun - attempt.fun <= config.f_tol:
+            if attempt.fun < res.fun:
+                res = attempt
+            break
+        if res is None or attempt.fun < res.fun:
+            res = attempt
+    point = _params_from_components((*probs, *_kernel(res.x)))
+    diagnostics = {
+        "iterations": total_nit,
+        "function_evals": total_nfev,
+        "restarts": restart,
+        "message": str(res.message),
+    }
+    if boundary:
+        diagnostics["boundary"] = "a scenario frequency sits on the regularity boundary"
+    return EstimationResult(
+        point=point,
+        converged=bool(res.success) and not boundary,
+        log_likelihood=log_likelihood(stats, point),
+        diagnostics=diagnostics,
+    )

@@ -34,7 +34,7 @@ from hybridnet import (
     simulate,
     simulate_replicates,
 )
-from conftest import enumerate_histories, log_from_pairs
+from conftest import enumerate_histories, log_from_pairs, reference_nelder_mead
 
 TABLE1 = HybridParams.fill_gamma(0.1, 0.8, p=0.8, delta_in=1.3, delta_out=0.7)
 FIXED_START = HybridParams.fill_gamma(1 / 3, 1 / 3, p=0.5, delta_in=1.0, delta_out=1.0)
@@ -75,6 +75,27 @@ def test_criterion_01_reduced_replication_simplex(table1_replicates):
     detail = ", ".join(f"{n}={mean[n]:.4f}" for n, _, _ in checks)
     ok = all(abs(mean[n] - ref) < tol for n, ref, tol in checks)
     _check(1, "simplex-search means reproduce the reduced replication study", ok, detail)
+
+
+def test_newton_search_matches_reference_simplex(table1_replicates):
+    """On the criterion-01 replicates, the Newton search reaches at least the
+    restarted simplex's log-likelihood, and criterion 01's printed means
+    are the same."""
+    nm_config = NelderMeadConfig(initial_point=FIXED_START)
+    names = ("alpha", "beta", "p", "delta_in", "delta_out")
+    points = {"newton": [], "simplex": []}
+    for stats in table1_replicates:
+        newton = fit_nelder_mead(stats, nm_config)
+        simplex = reference_nelder_mead(stats, nm_config)
+        assert newton.converged
+        assert newton.log_likelihood >= simplex.log_likelihood - 1e-9
+        points["newton"].append(newton.point)
+        points["simplex"].append(simplex.point)
+    printed = {
+        key: [f"{np.mean([getattr(pt, name) for pt in pts]):.4f}" for name in names]
+        for key, pts in points.items()
+    }
+    assert printed["newton"] == printed["simplex"]
 
 
 def _mh_means(table1_replicates, seed_base):

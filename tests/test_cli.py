@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hybridnet import parse_edge_file
+from hybridnet import NelderMeadConfig, fit_nelder_mead, parse_edge_file, replay
 from hybridnet.cli import main, summarize_estimates
 from hybridnet.model import HybridParams
 
@@ -129,6 +129,12 @@ class TestFitCommand:
         assert code == 3
         payload = json.loads((tmp_path / "est.json").read_text())
         assert payload["converged"] is False
+        # the scenario block sits on the regularity boundary; the kernel has no
+        # information, so the Newton search stops at once
+        start = HybridParams.fill_gamma(1 / 3, 1 / 3, p=0.5, delta_in=1.0, delta_out=1.0)
+        result = fit_nelder_mead(replay(parse_edge_file(path)), NelderMeadConfig(initial_point=start))
+        assert "boundary" in result.diagnostics
+        assert result.diagnostics["restarts"] == 0 and result.diagnostics["iterations"] == 1
 
     def test_integrated_on_pa_dominant_extended_data(self, tmp_path):
         # wikipedia-style setting: p very close to one, small offsets, xi > 0

@@ -14,6 +14,7 @@ from hybridnet import (
     NelderMeadConfig,
     SimulationConfig,
     accept_probability,
+    export,
     fit,
     fit_integrated,
     fit_mh,
@@ -22,9 +23,15 @@ from hybridnet import (
     mle_scenarios,
     replay,
     simulate,
+    window,
 )
-from hybridnet import estimation
-from conftest import effective_sample_size, log_from_pairs, reference_kernel_log_likelihood
+from hybridnet import cli, estimation
+from conftest import (
+    effective_sample_size,
+    log_from_pairs,
+    reference_kernel_log_likelihood,
+    reference_nelder_mead,
+)
 
 FIXED_START = HybridParams.fill_gamma(1 / 3, 1 / 3, p=0.5, delta_in=1.0, delta_out=1.0)
 TABLE1 = HybridParams.fill_gamma(0.1, 0.8, p=0.8, delta_in=1.3, delta_out=0.7)
@@ -118,6 +125,50 @@ class TestNelderMead:
         est = mle_scenarios(stats)
         assert result.point.xi == pytest.approx(est.xi, abs=1e-9)
         assert result.point.eta == pytest.approx(est.eta, abs=1e-9)
+
+
+class TestNewtonSearch:
+    """The Newton ascent against the restarted simplex it replaced
+    (``reference_nelder_mead``), and its convergence reports."""
+
+    def test_reaches_reference_optimum_on_unseeded_window(self):
+        config = SimulationConfig(params=TABLE1, n_edges=60_000, seed=4242, log_scenarios=False)
+        log = simulate(config).log
+        mid = (log.time[0] + log.time[-1]) // 2
+        wlog, _ = window(log, mid - 15_000, mid + 14_999)
+        stats = replay(wlog, seeded=False)
+        assert len(stats) == 30_000
+        nm_config = NelderMeadConfig(initial_point=FIXED_START)
+        result = fit_nelder_mead(stats, nm_config)
+        assert result.converged
+        assert result.log_likelihood >= reference_nelder_mead(stats, nm_config).log_likelihood - 1e-9
+        assert result.diagnostics["function_evals"] <= 100
+
+    def test_exhausted_budget_is_not_converged(self, tmp_path, monkeypatch):
+        log = simulate(SimulationConfig(params=TABLE1, n_edges=2000, seed=123)).log
+        result = fit_nelder_mead(replay(log), NelderMeadConfig(initial_point=FIXED_START, max_iters=1))
+        assert not result.converged
+        diag = result.diagnostics
+        assert diag["iterations"] == 1 and diag["restarts"] == 0
+        assert diag["function_evals"] >= 2  # the start and at least one trial step
+        # the CLI reports the same through its exit code
+        export(log, tmp_path / "log.edges")
+        monkeypatch.setattr(cli, "NelderMeadConfig", lambda **kw: NelderMeadConfig(**kw, max_iters=1))
+        argv = ["fit", "--input", str(tmp_path / "log.edges"), "--method", "nm"]
+        assert cli.main(argv + ["--out", str(tmp_path / "estimate.json")]) == 3
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_p_held_on_its_upper_bound(self, seed):
+        th = HybridParams.fill_gamma(0.1, 0.8, p=1.0, delta_in=0.2, delta_out=0.3)
+        stats = replay(simulate(SimulationConfig(params=th, n_edges=2000, seed=seed)).log)
+        nm_config = NelderMeadConfig(initial_point=FIXED_START)
+        reference = reference_nelder_mead(stats, nm_config)
+        assert reference.point.p > 1.0 - 1e-6  # the maximum sits on p = 1
+        result = fit_nelder_mead(stats, nm_config)
+        assert result.point.p == 1.0
+        assert result.converged
+        assert result.diagnostics["active_bound"] == "p = 1"
+        assert result.log_likelihood >= reference.log_likelihood - 1e-9
 
 
 class TestMetropolisHastings:

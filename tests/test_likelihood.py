@@ -22,7 +22,7 @@ from hybridnet import (
     simulate,
 )
 from hybridnet.degrees import DegreeCounts
-from hybridnet.likelihood import _kernel_log_likelihood
+from hybridnet.likelihood import _kernel_derivatives, _kernel_log_likelihood
 from conftest import (
     ORACLE_SETTINGS,
     enumerate_histories,
@@ -315,6 +315,70 @@ class TestKernelOracle:
                     for delta_in, delta_out in ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0)):
                         self._assert_kernel_matches(stats, p, delta_in, delta_out)
                 assert _kernel_log_likelihood(stats, 1.0, 0.0, 0.0) == -math.inf
+
+
+def _fd_hessian(stats, p, delta_in, delta_out, steps):
+    """Central differences of the analytic gradient in (delta_in, delta_out,
+    p), one column per coordinate, with the given steps."""
+    theta = np.array([delta_in, delta_out, p])
+    columns = []
+    for j, h in enumerate(steps):
+        hi, lo = theta.copy(), theta.copy()
+        hi[j] += h
+        lo[j] -= h
+        g_hi = _kernel_derivatives(stats, hi[2], hi[0], hi[1])[1]
+        g_lo = _kernel_derivatives(stats, lo[2], lo[0], lo[1])[1]
+        columns.append((g_hi - g_lo) / (hi[j] - lo[j]))
+    return np.column_stack(columns)
+
+
+class TestHessian:
+    """The analytic Hessian against central differences of the analytic
+    score, in the style of acceptance criterion 06."""
+
+    @staticmethod
+    def _assert_structure(hess):
+        assert np.array_equal(hess, hess.T)
+        assert hess[0, 1] == 0.0  # no kernel step involves both offsets
+
+    def test_matches_finite_differences_of_score(self):
+        rng = np.random.default_rng(707)
+        worst = 0.0
+        for _ in range(50):
+            alpha = rng.uniform(0.1, 0.6)
+            beta = rng.uniform(0.1, min(0.8, 0.95 - alpha))
+            sim_theta = HybridParams.fill_gamma(
+                alpha, beta, p=rng.uniform(0.2, 0.95),
+                delta_in=rng.uniform(0.3, 2.5), delta_out=rng.uniform(0.3, 2.5),
+            )
+            config = SimulationConfig(params=sim_theta, n_edges=200, seed=int(rng.integers(2**31)))
+            stats = replay(simulate(config).log)
+            p, delta_in, delta_out = rng.uniform(0.2, 0.9), rng.uniform(0.4, 2.0), rng.uniform(0.4, 2.0)
+            _, grad, hess = _kernel_derivatives(stats, p, delta_in, delta_out)
+            theta = replace(sim_theta, p=p, delta_in=delta_in, delta_out=delta_out)
+            np.testing.assert_array_equal(grad, score(stats, theta))
+            self._assert_structure(hess)
+            fd = _fd_hessian(stats, p, delta_in, delta_out, (1e-5, 1e-5, 1e-5))
+            worst = max(worst, float((np.abs(hess - fd) / (1.0 + np.abs(hess))).max()))
+        assert worst < 1e-6
+
+    @pytest.mark.parametrize("seeded", [True, False])
+    def test_matches_finite_differences_at_corners(self, table1_params, seeded):
+        config = SimulationConfig(params=table1_params, n_edges=10_000, seed=3, log_scenarios=False)
+        stats = replay(simulate(config).log, seeded)
+        d, r, _, _ = stats._kernel_steps
+        for p in (0.0, 1.0 - 1e-9, 1.0):
+            for delta in (1e-6, 1.0, 100.0):
+                _, _, hess = _kernel_derivatives(stats, p, delta, delta)
+                self._assert_structure(hess)
+                # steps scaled to the smallest numerator p d + (1 - p) r + delta,
+                # so that every difference stays inside the domain and well
+                # above rounding (p = 1 is differenced across the bound)
+                num_min = float((p * d + (1.0 - p) * r + delta).min())
+                h_p = 1e-6 * num_min / float(np.abs(d - r).max())
+                fd = _fd_hessian(stats, p, delta, delta, (1e-6 * num_min, 1e-6 * num_min, h_p))
+                column_err = np.abs(hess - fd).max(axis=0) / np.abs(hess).max(axis=0)
+                assert column_err.max() < 1e-6, (p, delta, column_err)
 
 
 class TestScenarioMle:
