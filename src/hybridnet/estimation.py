@@ -350,13 +350,16 @@ def fit_mh(stats: SufficientStats, config: MhConfig) -> EstimationResult:
                 # at the thinning points (the usual running-mean plot)
                 running_rows.append(cumulative / (t - burn_in))
 
-    n_kept = len(kept_kernel)
-    probs = np.zeros((n_kept, 5))
-    probs[:, present] = rng.dirichlet(counts[present] + 1.0, size=n_kept)
+        n_kept = len(kept_kernel)
+        probs = np.zeros((n_kept, 5))
+        probs[:, present] = rng.dirichlet(counts[present] + 1.0, size=n_kept)
+        # the multinomial term of every kept draw (-inf where a drawn probability is 0)
+        scenario_ll = np.log(probs[:, present]) @ counts[present]
     draws = np.hstack([probs, np.array(kept_kernel)])  # columns: alpha..eta, p, delta_in, delta_out
+    # rows of Python floats, zipped from the columns: no list per row is kept
     trace = [
-        TraceEntry(t, _params_from_components(row), _scenario_log_likelihood(stats, *row[:5]) + ll)
-        for t, row, ll in zip(kept_iterations, draws, kept_ll)
+        TraceEntry(t, _params_from_components(row), s + ll)
+        for t, row, s, ll in zip(kept_iterations, zip(*draws.T.tolist()), scenario_ll.tolist(), kept_ll)
     ]
     summary = np.mean(draws, axis=0) if config.point_estimate == "mean" else np.median(draws, axis=0)
     summary[:5] /= summary[:5].sum()  # back onto the simplex (medians need not sum to one)

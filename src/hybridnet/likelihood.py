@@ -21,6 +21,11 @@ from .degrees import DegreeCounts, strict_tail_fractions
 from .model import EdgeLog, HybridParams, _counts_before, _novelty_pass
 
 
+_CHUNK = 32  # kernel ratios per log
+# the ratio range in which no product of _CHUNK ratios leaves exp(+-700)
+_RATIO_LO, _RATIO_HI = math.exp(-700.0 / _CHUNK), math.exp(700.0 / _CHUNK)
+
+
 class BracketingError(RuntimeError):
     """Raised when a root search finds no sign change in its bracket."""
 
@@ -39,7 +44,12 @@ class SufficientStats:
     ``log((p d + (1 - p) r + delta) / (r + delta)) - log v``.
     ``_kernel_steps`` caches ``(d, r, n_in, sum of log v)`` over the
     in-steps (scenarios 1 and 2) followed by the out-steps (2 and 3);
-    ``n_in`` is where the out-steps start.
+    ``n_in`` is where the out-steps start.  The ratio inside that log,
+    written ``(1 - p) + p (d + delta) / (r + delta)``, is a sum of
+    nonnegative terms and lies between ``(1 - p) + p delta / (R + delta)``
+    and ``U``; ``_kernel_bounds`` caches ``(R, U)``, with
+    ``R = max(1, max r)`` and ``U = max(1, max d / r)``, so that
+    ``_kernel_log_likelihood`` bounds every ratio in O(1).
     """
 
     scenario: np.ndarray
@@ -65,6 +75,11 @@ class SufficientStats:
         v = np.concatenate((self.node_count[sel_in], self.node_count[sel_out])).astype(float)
         r = np.concatenate((self.mass[sel_in], self.mass[sel_out])) / v
         return d.astype(float), r, int(sel_in.sum()), float(np.log(v).sum())
+
+    @cached_property
+    def _kernel_bounds(self) -> tuple[float, float]:
+        d, r, _, _ = self._kernel_steps
+        return float(r.max(initial=1.0)), float((d / r).max(initial=1.0))
 
 
 def replay(log: EdgeLog, seeded: bool = True) -> SufficientStats:
@@ -108,28 +123,42 @@ def _scenario_log_likelihood(stats, alpha, beta, gamma, xi, eta):
     return ll
 
 
-def _kernel_num_den(stats, p, delta_in, delta_out):
-    """Per kernel step, ``p d + (1 - p) r + delta`` and ``r + delta``."""
-    d, r, n_in, _ = stats._kernel_steps
-    delta = np.empty_like(r)
-    delta[:n_in], delta[n_in:] = delta_in, delta_out
-    num = p * d
-    num += (1.0 - p) * r
-    num += delta
-    return num, np.add(r, delta, out=delta)
-
-
 def _kernel_log_likelihood(stats, p, delta_in, delta_out):
     """The endpoint-selection terms, which involve only ``p`` and the
-    offsets: one log over the kernel steps' ratios (see ``SufficientStats``).
+    offsets: the sum of the log kernel ratios ``(1 - p) + p (d + delta) / (r + delta)``
+    (see ``SufficientStats``), minus the constant sum of ``log v``.
 
-    The numerator stays a sum of nonnegative terms.  The shorter
-    ``log1p(p (d - r) / (r + delta))`` cancels in ``r + delta - p r`` and
-    loses digits where ``p`` is near one and ``delta`` is small.
+    Both terms of a ratio are nonnegative, so it loses no digits where
+    ``p`` is near one and ``delta`` is small; the shorter
+    ``log1p(p (d - r) / (r + delta))`` cancels there.  The ratios sit in a
+    buffer padded with ones to a multiple of ``_CHUNK``, whose ``_CHUNK``
+    rows are multiplied together, so that one log covers ``_CHUNK`` ratios.
+    That is safe when every ratio lies in ``[_RATIO_LO, _RATIO_HI]``: no
+    partial product then leaves ``exp(+-700)``, well inside the normal
+    floats.  The test uses the cached bounds on the ratios, so it costs
+    O(1).  Each product adds at most ``_CHUNK`` roundings, a relative error
+    of about 4e-15, or about 1e-16 per term after the log.  Where the test
+    fails (``delta = 0`` after ``exp`` underflows, ``p = 1`` with a tiny
+    ``delta``, a hub whose ``d / r`` is near 1e10) each ratio gets its own
+    log, which keeps ``-inf`` exact.
     """
-    num, den = _kernel_num_den(stats, p, delta_in, delta_out)
-    num /= den
-    return float(np.log(num, out=num).sum()) - stats._kernel_steps[3]
+    d, r, n_in, log_v_sum = stats._kernel_steps
+    n = d.shape[0]
+    x = np.empty(-(-n // _CHUNK) * _CHUNK)
+    den = np.empty(n)
+    for part, delta in ((slice(0, n_in), delta_in), (slice(n_in, n), delta_out)):
+        np.add(d[part], delta, out=x[part])
+        np.add(r[part], delta, out=den[part])
+    ratio = x[:n]
+    ratio /= den
+    ratio *= p
+    ratio += 1.0 - p
+    x[n:] = 1.0
+    r_max, ratio_max = stats._kernel_bounds
+    delta_min = min(delta_in, delta_out)
+    if (1.0 - p) + p * (delta_min / (r_max + delta_min)) >= _RATIO_LO and ratio_max <= _RATIO_HI:
+        x = np.multiply.reduce(x.reshape(_CHUNK, -1), axis=0)
+    return float(np.log(x, out=x).sum()) - log_v_sum
 
 
 def log_likelihood(stats: SufficientStats, theta: HybridParams) -> float:
@@ -146,21 +175,31 @@ def log_likelihood(stats: SufficientStats, theta: HybridParams) -> float:
 
 def _kernel_derivatives(stats, p, delta_in, delta_out):
     """The kernel log-likelihood with its gradient and Hessian in
-    (delta_in, delta_out, p), from one pass.  With num = p d + (1 - p) r + delta,
-    the per-step terms are 1/num - 1/(r + delta) and (d - r)/num (gradient),
-    1/(r + delta)^2 - 1/num^2, -(d - r)/num^2 and -((d - r)/num)^2 (Hessian);
-    no step has both offsets, so their entry is exactly 0."""
-    d, r, n_in, log_v_sum = stats._kernel_steps
-    num, den = _kernel_num_den(stats, p, delta_in, delta_out)
-    ll = float(np.log(num / den).sum()) - log_v_sum
-    inv_num, inv_den = np.reciprocal(num, out=num), np.reciprocal(den, out=den)
-    g_p, g_delta = (d - r) * inv_num, inv_num - inv_den
-    # per offset: gradient, -Hessian (a product, to keep g_delta's digits), -(p, offset) term
-    terms = np.stack((g_delta, g_delta * (inv_num + inv_den), g_p * inv_num))
-    (g_in, h_in, c_in), (g_out, h_out, c_out) = terms[:, :n_in].sum(1), terms[:, n_in:].sum(1)
-    grad = np.array([g_in, g_out, g_p.sum()])
-    hess = np.array([[h_in, 0.0, c_in], [0.0, h_out, c_out], [c_in, c_out, np.dot(g_p, g_p)]])
-    return ll, grad, -hess
+    (delta_in, delta_out, p).  With num = p d + (1 - p) r + delta, the
+    per-step terms are 1/num - 1/(r + delta) and (d - r)/num (gradient),
+    1/(r + delta)^2 - 1/num^2, -(d - r)/num^2 and -((d - r)/num)^2 (Hessian),
+    each summed over its offset's slice; no step has both offsets, so their
+    entry is exactly 0.  The log-likelihood is ``_kernel_log_likelihood``'s."""
+    d, r, n_in, _ = stats._kernel_steps
+    delta = np.empty_like(r)
+    delta[:n_in], delta[n_in:] = delta_in, delta_out
+    num = p * d
+    num += (1.0 - p) * r
+    num += delta
+    inv_num = np.reciprocal(num, out=num)
+    inv_den = np.reciprocal(np.add(r, delta, out=delta), out=delta)
+    g_p = d - r
+    g_p *= inv_num
+    g_delta = inv_num - inv_den
+    inv_den += inv_num  # -Hessian per offset: a product, to keep g_delta's digits
+    grad, hess = np.empty(3), np.zeros((3, 3))
+    for i, part in enumerate((slice(0, n_in), slice(n_in, None))):
+        grad[i] = g_delta[part].sum()
+        hess[i, i] = -np.dot(g_delta[part], inv_den[part])
+        hess[i, 2] = hess[2, i] = -np.dot(g_p[part], inv_num[part])
+    grad[2] = g_p.sum()
+    hess[2, 2] = -np.dot(g_p, g_p)
+    return _kernel_log_likelihood(stats, p, delta_in, delta_out), grad, hess
 
 
 def score(stats: SufficientStats, theta: HybridParams) -> np.ndarray:

@@ -157,6 +157,12 @@ class TestNewtonSearch:
         argv = ["fit", "--input", str(tmp_path / "log.edges"), "--method", "nm"]
         assert cli.main(argv + ["--out", str(tmp_path / "estimate.json")]) == 3
 
+    def test_reported_log_likelihood_is_log_likelihood_of_point(self, sim_stats):
+        _, stats = sim_stats
+        result = fit_nelder_mead(stats, NelderMeadConfig(initial_point=FIXED_START))
+        assert result.converged
+        assert result.log_likelihood == log_likelihood(stats, result.point)
+
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_p_held_on_its_upper_bound(self, seed):
         th = HybridParams.fill_gamma(0.1, 0.8, p=1.0, delta_in=0.2, delta_out=0.3)
@@ -194,6 +200,15 @@ class TestMetropolisHastings:
         assert set(result.diagnostics["running_means"]) == {
             "alpha", "beta", "gamma", "xi", "eta", "p", "delta_in", "delta_out",
         }
+
+    def test_trace_log_posterior_is_log_likelihood_of_draw(self, sim_stats):
+        _, stats = sim_stats
+        result = fit_mh(stats, MhConfig(burn_in=200, iterations=2000, thinning=20, seed=5))
+        n1, n2, n3, _, _ = stats.scenario_counts
+        terms = len(stats) + n1 + 2 * n2 + n3  # one scenario term per record, one per kernel step
+        for entry in result.trace:
+            assert math.isfinite(entry.log_posterior)
+            assert abs(entry.log_posterior - log_likelihood(stats, entry.params)) <= 1e-12 * terms
 
     def test_seed_reproducibility(self, sim_stats):
         _, stats = sim_stats

@@ -1,8 +1,11 @@
 import math
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridnet import (
     BracketingError,
@@ -22,7 +25,13 @@ from hybridnet import (
     simulate,
 )
 from hybridnet.degrees import DegreeCounts
-from hybridnet.likelihood import _kernel_derivatives, _kernel_log_likelihood
+from hybridnet.likelihood import (
+    _CHUNK,
+    _RATIO_HI,
+    SufficientStats,
+    _kernel_derivatives,
+    _kernel_log_likelihood,
+)
 from conftest import (
     ORACLE_SETTINGS,
     enumerate_histories,
@@ -315,6 +324,76 @@ class TestKernelOracle:
                     for delta_in, delta_out in ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0)):
                         self._assert_kernel_matches(stats, p, delta_in, delta_out)
                 assert _kernel_log_likelihood(stats, 1.0, 0.0, 0.0) == -math.inf
+
+    @pytest.mark.parametrize("steps", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
+    def test_matches_reference_around_the_chunk_length(self, steps):
+        # the first records with one kernel step each (scenarios 1 and 3)
+        stats = _table1_stats(2000, seeded=True)
+        one_step = np.flatnonzero((stats.scenario == 1) | (stats.scenario == 3))
+        sub = _sub_stats(stats, one_step[:steps])
+        n1, n2, n3, _, _ = sub.scenario_counts
+        assert n1 + 2 * n2 + n3 == steps
+        assert steps < _CHUNK or (n1 > 0 and n3 > 0)  # both offsets' slices
+        for p, delta in self.CORNERS + [(0.8, 1e-300)]:
+            self._assert_kernel_matches(sub, p, delta, delta)
+            self._assert_kernel_matches(sub, p, 1.3, delta)
+
+    def test_tiny_offset_at_p_one_matches_reference(self):
+        # each ratio near delta / r: a product of _CHUNK of them underflows,
+        # so every ratio takes its own log (no errstate: a warning fails here)
+        for seeded in (True, False):
+            stats = _table1_stats(2000, seeded)
+            self._assert_kernel_matches(stats, 1.0, 1e-300, 1e-300)
+            self._assert_kernel_matches(stats, 1.0, 1e-300, 1.0)
+            self._assert_kernel_matches(stats, 1.0 - 1e-12, 1e-300, 1e-200)
+            with np.errstate(divide="ignore"):  # the reference itself takes log(0)
+                self._assert_kernel_matches(stats, 1.0, 0.0, 1e-300)
+
+    def test_hub_degrees_match_reference(self):
+        # every kernel step picks an endpoint of degree 1e10 with r = 1, so a
+        # product of _CHUNK ratios would overflow
+        n = _CHUNK * _CHUNK + 7
+        hub = np.full(n, 10**10, dtype=np.int64)
+        stats = SufficientStats(
+            scenario=np.tile(np.array([1, 2, 3]), n)[:n],
+            target_in_degree=hub,
+            source_out_degree=hub,
+            node_count=np.full(n, 10, dtype=np.int64),
+            mass=np.full(n, 10, dtype=np.int64),
+        )
+        assert stats._kernel_bounds[1] > _RATIO_HI
+        for p, delta in self.CORNERS:
+            self._assert_kernel_matches(stats, p, delta, delta)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        log10_delta_in=st.floats(-300.0, 2.0),
+        log10_delta_out=st.floats(-300.0, 2.0),
+        seeded=st.booleans(),
+    )
+    def test_matches_reference_for_any_offsets(self, p, log10_delta_in, log10_delta_out, seeded):
+        stats = _table1_stats(1000, seeded)
+        self._assert_kernel_matches(stats, p, 10.0**log10_delta_in, 10.0**log10_delta_out)
+
+
+@cache
+def _table1_stats(n_edges, seeded):
+    params = HybridParams.fill_gamma(0.1, 0.8, p=0.8, delta_in=1.3, delta_out=0.7)
+    config = SimulationConfig(params=params, n_edges=n_edges, seed=11, log_scenarios=False)
+    return replay(simulate(config).log, seeded)
+
+
+def _sub_stats(stats, keep):
+    """The covariates of the records ``keep`` only."""
+    return SufficientStats(
+        scenario=stats.scenario[keep],
+        target_in_degree=stats.target_in_degree[keep],
+        source_out_degree=stats.source_out_degree[keep],
+        node_count=stats.node_count[keep],
+        mass=stats.mass[keep],
+        seeded=stats.seeded,
+    )
 
 
 def _fd_hessian(stats, p, delta_in, delta_out, steps):
