@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .degrees import ccdf, degree_counts_from_arrays, limit_pmf
-from .estimation import FIT_METHODS, FlatPrior, MhConfig, NelderMeadConfig, fit
+from .estimation import FIT_METHODS, MhConfig, NelderMeadConfig, fit
 from .generator import SimulationConfig, replicate_seeds, simulate_replicates
 from .io import export, parse_edge_file
 from .likelihood import replay
@@ -112,16 +112,18 @@ def _parse_init(text: str) -> HybridParams:
 
 
 def cmd_fit(args) -> int:
-    log = parse_edge_file(args.input)
-    stats = replay(log, seeded=not args.unseeded)
+    if args.trace_out and args.method == "nm":
+        raise ValueError("--trace-out needs a sampler method (mh or integrated); nm keeps no trace")
     mh_config = MhConfig(
         burn_in=args.burn_in,
         iterations=args.iterations,
         thinning=args.thinning,
-        prior=FlatPrior(delta_max=args.delta_max),
+        delta_max=args.delta_max,
         seed=args.seed,
     )
     start = FIXED_START if args.init is None else _parse_init(args.init)
+    log = parse_edge_file(args.input)
+    stats = replay(log, seeded=not args.unseeded)
     result = fit(stats, args.method, mh_config, NelderMeadConfig(initial_point=start))
     payload = {
         "command": "fit",
@@ -145,7 +147,7 @@ def cmd_fit(args) -> int:
     }
     out = Path(args.out) if args.out else Path(args.input).with_suffix(".estimate.json")
     _write_json(out, payload)
-    if args.trace_out and result.trace is not None:
+    if args.trace_out:
         export(result, Path(args.trace_out))
     print(f"method={args.method} converged={result.converged} estimate -> {out}")
     if not result.converged:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,14 +31,12 @@ from .likelihood import (
 )
 from .model import HybridParams
 
-SCENARIO_NAMES = ("alpha", "beta", "gamma", "xi", "eta")
-
 _PROB_EPS = 1e-9
 _MAX_STEP = 1.0  # longest Newton step per search coordinate; an uncapped one can overflow exp
 _EIG_RTOL = 1e-8  # eigenvalue floor of -H, relative to its largest magnitude
 _ARMIJO = 1e-4  # sufficient-increase fraction of the line search
 _MAX_HALVINGS = 50
-_KERNEL_COORDINATES = ("p", "log_delta_in", "log_delta_out")
+_INITIAL_STEPS = (0.01, 0.05, 0.05)  # initial proposal scales of (p, log delta_in, log delta_out)
 _ADAPT_POINTS = 10  # proposal adaptations, evenly spaced over burn-in
 _ADAPT_SCALE = 2.38**2 / 3  # optimal random-walk scaling in three dimensions
 _PD_RTOL = 1e-12  # smallest/largest covariance eigenvalue that counts as positive definite
@@ -65,46 +63,20 @@ class NelderMeadConfig:
 
 
 @dataclass(frozen=True)
-class FlatPrior:
-    """Uniform priors: scenario probabilities on the simplex, p on [0, 1],
-    offsets flat on (0, delta_max]."""
-
-    delta_max: float = 100.0
-
-    def __post_init__(self):
-        if not self.delta_max > 0.0:
-            raise ValueError("delta_max must be positive")
-
-
-def default_step_sizes() -> dict[str, float]:
-    """Initial random-walk proposal scales of the kernel coordinates: 0.01
-    for p, 0.05 for each offset on log scale.  ``fit_mh`` adapts the
-    proposal during burn-in."""
-    return {"p": 0.01, "log_delta_in": 0.05, "log_delta_out": 0.05}
-
-
-@dataclass(frozen=True)
 class MhConfig:
     """Metropolis-Hastings settings.
 
     ``iterations`` counts post-burn-in steps; every ``thinning``-th of them
-    is kept.  ``step_sizes`` holds the initial proposal scales of the
-    kernel coordinates (keys as in ``default_step_sizes``; other keys are
-    ignored), which burn-in adapts.  ``initial`` overrides the default start
-    (p uniform, offsets from a standard exponential); it must have positive
-    posterior density, and only its kernel coordinates seed the chain,
-    because the scenario block is drawn exactly.  The point estimate is the
-    ``point_estimate`` summary of the kept draws.
+    is kept.  The priors are flat: the scenario probabilities on the
+    simplex, p on [0, 1] and each offset on (0, ``delta_max``], which must
+    be finite for the posterior to be proper.
     """
 
     burn_in: int = 10_000
     iterations: int = 20_000
     thinning: int = 500
-    step_sizes: Mapping[str, float] = field(default_factory=default_step_sizes)
-    prior: FlatPrior = FlatPrior()
+    delta_max: float = 100.0
     seed: int = 0
-    initial: HybridParams | None = None
-    point_estimate: str = "mean"
 
     def __post_init__(self):
         if self.thinning < 1:
@@ -113,8 +85,8 @@ class MhConfig:
             raise ValueError("iterations must be >= thinning")
         if self.burn_in < 0:
             raise ValueError("burn_in must be >= 0")
-        if self.point_estimate not in ("mean", "median"):
-            raise ValueError("point_estimate must be 'mean' or 'median'")
+        if not 0.0 < self.delta_max < math.inf:
+            raise ValueError("delta_max must be positive and finite")
 
 
 class TraceEntry(NamedTuple):
@@ -270,26 +242,27 @@ def fit_mh(stats: SufficientStats, config: MhConfig) -> EstimationResult:
     are drawn exactly, once per kept draw.  The kernel block
     (p, log delta_in, log delta_out) is sampled by random-walk
     Metropolis-Hastings on the kernel log-likelihood plus the log-scale
-    Jacobian; a proposal outside the prior support (p in [0, 1],
-    delta <= delta_max) has zero density and is rejected.  Reflecting it
-    back instead would not be a symmetric proposal once the steps are
-    correlated.  The proposal covariance starts as the squared
-    ``step_sizes``; at ten evenly spaced points of burn-in it is set to
-    2.38^2/3 times the covariance of the later half of the draws so far,
-    and after burn-in it is frozen, so the kept draws come from a plain
-    Metropolis-Hastings chain.  With ``burn_in=0`` the proposal is
-    ``step_sizes`` throughout.
+    Jacobian, from p uniform and offsets from a standard exponential; a
+    proposal outside the prior support (p in [0, 1],
+    delta <= ``delta_max``) has zero density and is rejected.  Reflecting
+    it back instead would not be a symmetric proposal once the steps are
+    correlated.  The proposal covariance starts as diag(0.01, 0.05, 0.05)
+    squared; at ten evenly spaced points of burn-in it is set to 2.38^2/3
+    times the covariance of the later half of the draws so far, and after
+    burn-in it is frozen, so the kept draws come from a plain
+    Metropolis-Hastings chain.  With ``burn_in=0`` the initial proposal is
+    used throughout.
 
     The trace keeps every ``thinning``-th post-burn-in draw with its data
-    log-likelihood; the acceptance rate is the kernel walk's over the
-    post-burn-in phase.  Deterministic for a fixed seed.
+    log-likelihood, and the point estimate is the mean of the kept draws;
+    the acceptance rate is the kernel walk's over the post-burn-in phase.
+    Deterministic for a fixed seed.
     """
     counts = np.array(stats.scenario_counts)
     present = counts > 0
     if not present.any():
         raise ValueError("cannot fit an empty log")
-    prior = config.prior
-    log_delta_max = math.log(prior.delta_max)
+    log_delta_max = math.log(config.delta_max)
     rng = np.random.default_rng(config.seed)
 
     def log_target(x: np.ndarray) -> tuple[float, float]:
@@ -302,87 +275,58 @@ def fit_mh(stats: SufficientStats, config: MhConfig) -> EstimationResult:
             return -math.inf, -math.inf
         return ll + x[1] + x[2], ll
 
-    start = config.initial
-    if start is None:
-        deltas = np.clip(rng.exponential(size=2), 1e-6, prior.delta_max)
-        x = np.array([rng.random(), *np.log(deltas)])
-    else:
-        x = np.array([start.p, math.log(start.delta_in), math.log(start.delta_out)])
-    theta = np.array([x[0], *np.exp(x[1:])])  # (p, delta_in, delta_out)
-
-    steps = {**default_step_sizes(), **dict(config.step_sizes)}
-    chol = np.diag([steps[name] for name in _KERNEL_COORDINATES])
-    burn_in = config.burn_in
+    deltas = np.clip(rng.exponential(size=2), 1e-6, config.delta_max)
+    x = np.array([rng.random(), *np.log(deltas)])
+    chol = np.diag(_INITIAL_STEPS)
+    burn_in, thinning = config.burn_in, config.thinning
     adapt_at = {round(k * burn_in / _ADAPT_POINTS) for k in range(1, _ADAPT_POINTS + 1)}
     history = np.empty((burn_in, 3))
-    kept_iterations: list[int] = []
-    kept_kernel: list[np.ndarray] = []
-    kept_ll: list[float] = []
-    running_rows: list[np.ndarray] = []
-    cumulative = np.zeros(3)
+    n_kept = config.iterations // thinning
+    kernel = np.empty((n_kept, 3))  # kept (p, delta_in, delta_out)
+    kept_ll = np.empty(n_kept)
     accepts = 0
     # exp can underflow a proposed offset to zero; its -inf is a rejection
     with np.errstate(divide="ignore", invalid="ignore"):
         lp, ll = log_target(x)
-        if start is not None and not (
-            math.isfinite(lp) and math.isfinite(log_likelihood(stats, start))
-        ):
-            raise ValueError("initial point has zero posterior density")
         for t in range(1, burn_in + config.iterations + 1):
             proposal = x + chol @ rng.standard_normal(3)
             lpp, llp = log_target(proposal)
             accepted = rng.random() < accept_probability(lp, lpp)
             if accepted:
                 x, lp, ll = proposal, lpp, llp
-                theta = np.array([x[0], *np.exp(x[1:])])
             if t <= burn_in:
                 history[t - 1] = x
                 if t in adapt_at:  # from the later half of the draws so far
                     chol = _adapted_proposal(history[t // 2 : t], chol)
                 continue
             accepts += accepted
-            cumulative += theta
-            if (t - burn_in) % config.thinning == 0:
-                kept_iterations.append(t)
-                kept_kernel.append(theta)
-                kept_ll.append(ll)
-                # running means over every post-burn-in draw so far, sampled
-                # at the thinning points (the usual running-mean plot)
-                running_rows.append(cumulative / (t - burn_in))
+            kept, rest = divmod(t - burn_in, thinning)
+            if rest == 0:
+                kernel[kept - 1, 0] = x[0]
+                kernel[kept - 1, 1:] = np.exp(x[1:])
+                kept_ll[kept - 1] = ll
 
-        n_kept = len(kept_kernel)
         probs = np.zeros((n_kept, 5))
         probs[:, present] = rng.dirichlet(counts[present] + 1.0, size=n_kept)
         # the multinomial term of every kept draw (-inf where a drawn probability is 0)
         scenario_ll = np.log(probs[:, present]) @ counts[present]
-    draws = np.hstack([probs, np.array(kept_kernel)])  # columns: alpha..eta, p, delta_in, delta_out
+    draws = np.hstack([probs, kernel])  # columns: alpha..eta, p, delta_in, delta_out
+    iterations = range(burn_in + thinning, burn_in + n_kept * thinning + 1, thinning)
     # rows of Python floats, zipped from the columns: no list per row is kept
+    rows = zip(*draws.T.tolist())
     trace = [
         TraceEntry(t, _params_from_components(row), s + ll)
-        for t, row, s, ll in zip(kept_iterations, zip(*draws.T.tolist()), scenario_ll.tolist(), kept_ll)
+        for t, row, s, ll in zip(iterations, rows, scenario_ll.tolist(), kept_ll.tolist())
     ]
-    summary = np.mean(draws, axis=0) if config.point_estimate == "mean" else np.median(draws, axis=0)
-    summary[:5] /= summary[:5].sum()  # back onto the simplex (medians need not sum to one)
+    summary = np.mean(draws, axis=0)
+    summary[:5] /= summary[:5].sum()  # back onto the simplex after rounding
     point = _params_from_components(summary)
-    # the scenario block is drawn once per kept draw, so its running means
-    # run over the kept draws
-    running = np.hstack(
-        [np.cumsum(probs, axis=0) / np.arange(1, n_kept + 1)[:, None], np.array(running_rows)]
-    )
-    diagnostics = {
-        "running_means": {
-            name: running[:, i]
-            for i, name in enumerate(SCENARIO_NAMES + ("p", "delta_in", "delta_out"))
-        },
-        "kept_draws": n_kept,
-    }
     return EstimationResult(
         point=point,
         converged=True,
         log_likelihood=log_likelihood(stats, point),
         trace=trace,
         acceptance_rate=accepts / config.iterations,
-        diagnostics=diagnostics,
     )
 
 
@@ -409,11 +353,7 @@ def fit_integrated(
     nm = fit_nelder_mead(stats, replace(nm_config_template, initial_point=mh.point))
     nm.trace = mh.trace
     nm.acceptance_rate = mh.acceptance_rate
-    nm.diagnostics = {
-        **nm.diagnostics,
-        "mh_point": mh.point,
-        "mh_running_means": mh.diagnostics["running_means"],
-    }
+    nm.diagnostics = {**nm.diagnostics, "mh_point": mh.point}
     return nm
 
 

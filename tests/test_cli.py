@@ -108,6 +108,23 @@ class TestFitCommand:
             "p", "delta_in", "delta_out", "log_posterior",
         }
 
+    def test_trace_out_without_sampler_rejected(self, simulated_dir, tmp_path, capsys):
+        code = run(["fit", "--input", str(simulated_dir / "replicate_000.edges"),
+                    "--method", "nm", "--out", str(tmp_path / "est.json"),
+                    "--trace-out", str(tmp_path / "trace.csv")])
+        assert code == 2
+        assert "--trace-out" in capsys.readouterr().err
+        assert not (tmp_path / "est.json").exists() and not (tmp_path / "trace.csv").exists()
+
+    @pytest.mark.parametrize("delta_max", ["0", "inf", "nan"])
+    def test_improper_prior_bound_rejected(self, simulated_dir, tmp_path, capsys, delta_max):
+        code = run(["fit", "--input", str(simulated_dir / "replicate_000.edges"),
+                    "--method", "mh", "--delta-max", delta_max,
+                    "--out", str(tmp_path / "est.json")])
+        assert code == 2
+        assert "delta_max" in capsys.readouterr().err
+        assert not (tmp_path / "est.json").exists()
+
     def test_unseeded_fit_on_windowed_style_data(self, tmp_path):
         # real-data-shaped input: no seed self-loop, first record opens the graph
         path = tmp_path / "win.edges"

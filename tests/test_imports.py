@@ -54,3 +54,11 @@ def test_lazily_imported_functions_keep_their_values():
         "nb": [0.07228291902393498, 0.928901697685371],
         "roots": [[2.733039639900033, 1.1864317119200267], [1.9332262411805043, 0.5465809929444037]],
     }
+
+
+def test_every_public_name_resolves():
+    # the benchmark's span instrumentation looks up every name in __all__
+    import hybridnet
+
+    assert [name for name in hybridnet.__all__ if not hasattr(hybridnet, name)] == []
+    assert len(set(hybridnet.__all__)) == len(hybridnet.__all__)
