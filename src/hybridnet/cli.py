@@ -114,13 +114,15 @@ def _parse_init(text: str) -> HybridParams:
 def cmd_fit(args) -> int:
     if args.trace_out and args.method == "nm":
         raise ValueError("--trace-out needs a sampler method (mh or integrated); nm keeps no trace")
-    mh_config = MhConfig(
-        burn_in=args.burn_in,
-        iterations=args.iterations,
-        thinning=args.thinning,
-        delta_max=args.delta_max,
-        seed=args.seed,
-    )
+    mh_config = None  # the Newton search never runs the sampler
+    if args.method != "nm":
+        mh_config = MhConfig(
+            burn_in=args.burn_in,
+            iterations=args.iterations,
+            thinning=args.thinning,
+            delta_max=args.delta_max,
+            seed=args.seed,
+        )
     start = FIXED_START if args.init is None else _parse_init(args.init)
     log = parse_edge_file(args.input)
     stats = replay(log, seeded=not args.unseeded)

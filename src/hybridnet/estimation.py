@@ -361,11 +361,12 @@ FIT_METHODS = ("nm", "mh", "integrated")
 
 
 def fit(
-    stats: SufficientStats, method: str, mh_config: MhConfig, nm_config: NelderMeadConfig
+    stats: SufficientStats, method: str, mh_config: MhConfig | None, nm_config: NelderMeadConfig
 ) -> EstimationResult:
     """Run the estimator named ``method``, one of ``FIT_METHODS``: the
     Newton search (``"nm"``), the sampler (``"mh"``) or the sampler-seeded
-    Newton search (``"integrated"``)."""
+    Newton search (``"integrated"``).  ``mh_config`` is read only by the
+    two sampler methods."""
     if method == "nm":
         return fit_nelder_mead(stats, nm_config)
     if method == "mh":

@@ -144,9 +144,9 @@ def simulate(config: SimulationConfig) -> SimulationOutput:
     state = NetworkState(
         node_count=node_count,
         step=n,
-        in_degree=in_degree[1:].tolist(),
-        out_degree=out_degree[1:].tolist(),
-        creation_step=creation.tolist(),
+        in_degree=in_degree[1:],
+        out_degree=out_degree[1:],
+        creation_step=creation,
     )
     time = np.arange(1, n + 1, dtype=np.int64)
     log = EdgeLog.from_columns(source, target, time, sc if config.log_scenarios else None)

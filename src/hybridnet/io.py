@@ -8,7 +8,11 @@ breaks a rule, is read line by line, so that the error names the line.
 ``window`` relabels by first appearance through the endpoint-stream sort
 that ``likelihood.replay`` also uses.  All exports produce byte-stable output
 for a fixed input: sorted keys, ``\\n`` newlines and 17-significant-digit
-floats.
+floats.  An edge log is rendered block by block with numpy: the decimal
+digits of every column are computed by array arithmetic into one byte
+buffer, and a mask drops leading zeros, unused sign slots and absent
+scenario labels, so the text matches ``"%d"`` formatting for every int64
+without building a Python int per value.
 """
 
 from __future__ import annotations
@@ -208,30 +212,81 @@ def export(obj, path, format: str = "csv") -> None:
         raise TypeError(f"no exporter for {type(obj).__name__}")
 
 
-# Rows formatted per write: the Python ints of one block are alive at a time.
+# Rows rendered per write: the digit buffer of one block is alive at a time.
 _EXPORT_ROWS = 1 << 16
+# float64 digit arithmetic, floor(x / 10), is exact below this magnitude;
+# larger values are first split at 10**9 with integer arithmetic
+_FLOAT_EXACT = 2**49
+_LIMB_DIGITS = 9
 
 
 def _write_edge_log(log: EdgeLog, path: Path) -> None:
-    labelled = log.scenario != 0
-    columns = [log.source, log.target, log.time]
-    if labelled.all():
-        columns.append(log.scenario)
-    elif labelled.any():  # mixed: write a label only where there is one
-        rows = zip(*(col.tolist() for col in (*columns, log.scenario)))
-        path.write_text(
-            "".join(f"{s} {t} {tm} {sc}\n" if sc else f"{s} {t} {tm}\n" for s, t, tm, sc in rows)
-        )
-        return
     if not len(log):
         path.write_text("\n")
         return
-    row = " ".join(["%d"] * len(columns)) + "\n"
-    table = np.column_stack(columns)
-    with path.open("w") as out:
-        for lo in range(0, len(table), _EXPORT_ROWS):
-            block = table[lo : lo + _EXPORT_ROWS]
-            out.write(row * len(block) % tuple(block.ravel().tolist()))
+    columns = (log.source, log.target, log.time)
+    with path.open("wb") as out:
+        for lo in range(0, len(log), _EXPORT_ROWS):
+            block = slice(lo, lo + _EXPORT_ROWS)
+            out.write(_render_lines([col[block] for col in columns], log.scenario[block]))
+
+
+def _render_lines(columns: list[np.ndarray], scenario: np.ndarray) -> bytes:
+    """Edge-list lines of the int64 ``columns``, each followed by its
+    ``scenario`` label where that is nonzero.
+
+    Every field gets fixed slots in a position-major uint8 buffer, one row
+    per character position: a separator (after the first field), a sign
+    slot (only in a column that holds a negative value) and as many digit
+    slots as the column's widest value.  A keep mask drops the unused sign
+    slots, the leading zeros and, on unlabelled lines, the label and its
+    separator; the kept bytes read line by line are the text."""
+    fields = []
+    for col in columns:
+        magnitude = np.abs(col).view(np.uint64)  # |-(2**63)| wraps to 2**63
+        top = int(magnitude.max())
+        fields.append((col, magnitude, top, len(str(top)), bool(col.min() < 0)))
+    labelled = scenario != 0
+    has_labels = bool(labelled.any())
+    height = sum(1 + signed + width for *_, width, signed in fields) + 2 * has_labels
+    text = np.empty((height, len(scenario)), dtype=np.uint8)
+    keep = np.ones(text.shape, dtype=bool)
+    row = 0
+    for k, (col, magnitude, top, width, signed) in enumerate(fields):
+        if k:
+            text[row] = ord(" ")
+            row += 1
+        if signed:
+            text[row] = ord("-")
+            keep[row] = col < 0
+            row += 1
+        digits = text[row : row + width]
+        _digits(magnitude, top, digits)
+        digits += ord("0")
+        for power in range(1, width):  # a leading zero sits above the value's top power
+            np.greater_equal(magnitude, 10**power, out=keep[row + width - 1 - power])
+        row += width
+    if has_labels:
+        text[row] = ord(" ")
+        text[row + 1] = scenario + ord("0")
+        keep[row : row + 2] = labelled
+        row += 2
+    text[row] = ord("\n")
+    return text.T[keep.T].tobytes()
+
+
+def _digits(magnitude: np.ndarray, top: int, rows: np.ndarray) -> None:
+    """Write the decimal digits of ``magnitude`` (uint64, at most ``top``)
+    into ``rows``, most significant first and zero-padded."""
+    if top >= _FLOAT_EXACT:
+        high, magnitude = np.divmod(magnitude, 10**_LIMB_DIGITS)
+        _digits(high, top // 10**_LIMB_DIGITS, rows[:-_LIMB_DIGITS])
+        rows = rows[-_LIMB_DIGITS:]
+    x = magnitude.astype(np.float64)
+    for row in rows[::-1]:
+        quotient = np.floor(x / 10)
+        row[...] = x - 10 * quotient
+        x = quotient
 
 
 def _write_rows(rows, header: Sequence[str], path: Path, format: str) -> None:

@@ -136,26 +136,42 @@ def derived_constants(params: HybridParams) -> DerivedConstants:
     return DerivedConstants(c1, c2, din_t, dout_t, rate_in, rate_out)
 
 
-@dataclass
+@dataclass(eq=False)
 class NetworkState:
     """Degree bookkeeping for an evolved network.
 
     ``step`` counts edges added after the seed self-loop, so the total
     in-degree (and out-degree) mass equals ``step + 1``.  Node ids are
     dense 1-based integers in creation order; ``creation_step[i - 1]`` is
-    the step at which node ``i`` appeared (0 for the seed node).
+    the step at which node ``i`` appeared (0 for the seed node).  The three
+    per-node sequences are held as int64 arrays; lists are converted on
+    construction.  Two states are equal when their counts and all three
+    arrays are.
     """
 
     node_count: int
     step: int
-    in_degree: list[int]
-    out_degree: list[int]
-    creation_step: list[int]
+    in_degree: np.ndarray
+    out_degree: np.ndarray
+    creation_step: np.ndarray
+
+    def __post_init__(self):
+        self.in_degree = np.asarray(self.in_degree, dtype=np.int64)
+        self.out_degree = np.asarray(self.out_degree, dtype=np.int64)
+        self.creation_step = np.asarray(self.creation_step, dtype=np.int64)
 
     @classmethod
     def seed(cls) -> "NetworkState":
         """The initial network: a single self-looped node labelled 1."""
         return cls(node_count=1, step=0, in_degree=[1], out_degree=[1], creation_step=[0])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, NetworkState):
+            return NotImplemented
+        return (self.node_count, self.step) == (other.node_count, other.step) and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("in_degree", "out_degree", "creation_step")
+        )
 
     def check_consistency(self) -> None:
         """Raise if the degree mass or array lengths are out of sync."""
@@ -165,10 +181,10 @@ class NetworkState:
         if lens != (self.node_count,) * 3:
             raise ValueError(f"degree arrays {lens} inconsistent with node_count={self.node_count}")
         mass = self.step + 1
-        if sum(self.in_degree) != mass or sum(self.out_degree) != mass:
+        mass_in, mass_out = int(self.in_degree.sum()), int(self.out_degree.sum())
+        if mass_in != mass or mass_out != mass:
             raise ValueError(
-                f"degree mass must equal step+1={mass}, got "
-                f"in={sum(self.in_degree)}, out={sum(self.out_degree)}"
+                f"degree mass must equal step+1={mass}, got in={mass_in}, out={mass_out}"
             )
 
 
@@ -261,7 +277,8 @@ def attach_prob_in(state: NetworkState, i: int, params: HybridParams) -> float:
     """
     _check_node(state, i)
     mass = state.step + 1
-    pa = (state.in_degree[i - 1] + params.delta_in) / (mass + params.delta_in * state.node_count)
+    degree = int(state.in_degree[i - 1])
+    pa = (degree + params.delta_in) / (mass + params.delta_in * state.node_count)
     return params.p * pa + (1.0 - params.p) / state.node_count
 
 
@@ -269,7 +286,8 @@ def attach_prob_out(state: NetworkState, j: int, params: HybridParams) -> float:
     """Out-degree analogue of :func:`attach_prob_in` for source selection."""
     _check_node(state, j)
     mass = state.step + 1
-    pa = (state.out_degree[j - 1] + params.delta_out) / (mass + params.delta_out * state.node_count)
+    degree = int(state.out_degree[j - 1])
+    pa = (degree + params.delta_out) / (mass + params.delta_out * state.node_count)
     return params.p * pa + (1.0 - params.p) / state.node_count
 
 

@@ -248,6 +248,30 @@ def reference_simulate(config):
     return SimulationOutput(state, EdgeLog(records), snapshots)
 
 
+def reference_write_edge_log(log, path, block_rows=1 << 16):
+    """The ``%``-format and f-string writer that ``io._write_edge_log``
+    replaced, kept as the byte oracle of the edge-log export."""
+    labelled = log.scenario != 0
+    columns = [log.source, log.target, log.time]
+    if labelled.all():
+        columns.append(log.scenario)
+    elif labelled.any():  # mixed: write a label only where there is one
+        rows = zip(*(col.tolist() for col in (*columns, log.scenario)))
+        path.write_text(
+            "".join(f"{s} {t} {tm} {sc}\n" if sc else f"{s} {t} {tm}\n" for s, t, tm, sc in rows)
+        )
+        return
+    if not len(log):
+        path.write_text("\n")
+        return
+    row = " ".join(["%d"] * len(columns)) + "\n"
+    table = np.column_stack(columns)
+    with path.open("w") as out:
+        for lo in range(0, len(table), block_rows):
+            block = table[lo : lo + block_rows]
+            out.write(row * len(block) % tuple(block.ravel().tolist()))
+
+
 def reference_replay(log, seeded=True):
     """The per-record dict loop that ``replay`` replaced, kept as its
     bit-identity oracle (values and error messages)."""

@@ -125,6 +125,25 @@ class TestFitCommand:
         assert "delta_max" in capsys.readouterr().err
         assert not (tmp_path / "est.json").exists()
 
+    @pytest.mark.parametrize("delta_max", ["0", "inf", "nan"])
+    def test_integrated_rejects_improper_prior_bound(self, simulated_dir, tmp_path, capsys,
+                                                     delta_max):
+        code = run(["fit", "--input", str(simulated_dir / "replicate_000.edges"),
+                    "--method", "integrated", "--delta-max", delta_max,
+                    "--out", str(tmp_path / "est.json")])
+        assert code == 2
+        assert "delta_max" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--iterations", "10"], ["--thinning", "0"],
+                                       ["--burn-in", "-1"], ["--delta-max", "0"]])
+    def test_nm_ignores_sampler_settings(self, simulated_dir, tmp_path, flags):
+        # the Newton search runs no sampler, so its settings cannot fail it
+        est_path = tmp_path / "est.json"
+        code = run(["fit", "--input", str(simulated_dir / "replicate_000.edges"),
+                    "--method", "nm", *flags, "--out", str(est_path)])
+        assert code == 0
+        assert json.loads(est_path.read_text())["converged"] is True
+
     def test_unseeded_fit_on_windowed_style_data(self, tmp_path):
         # real-data-shaped input: no seed self-loop, first record opens the graph
         path = tmp_path / "win.edges"

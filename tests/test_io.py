@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hybridnet import (
@@ -22,7 +22,7 @@ from hybridnet import (
     window,
 )
 from hybridnet.io import TRACE_HEADER, _fast_columns, _line_columns
-from conftest import log_from_pairs
+from conftest import log_from_pairs, reference_write_edge_log
 
 
 class TestParse:
@@ -426,3 +426,48 @@ def test_export_mixed_labels(tmp_path):
     path = tmp_path / "log.edges"
     export(EdgeLog([EdgeRecord(2, 1, 1, 1), EdgeRecord(1, 1, 2)]), path)
     assert path.read_text() == "2 1 1 1\n1 1 2\n"
+
+
+# int64 values that stress the digit renderer: the extremes, values at and
+# above the float-exact bound 2**49, 19-digit values and single digits
+_EXPORT_VALUES = st.one_of(
+    st.sampled_from([-(2**63), 2**63 - 1, -(2**63) + 1, 0, -1, 2**49 - 1, 2**49, -(2**49)]),
+    st.sampled_from([10**18, -(10**18), 10**18 - 1, 10**9 - 1, 10**9, -(10**9)]),
+    st.integers(0, 9),
+    st.integers(2**49, 2**63 - 1),
+    st.integers(-(2**63), 2**63 - 1),
+)
+
+
+@st.composite
+def _export_cases(draw):
+    """Three int64 columns, scenario labels (all, none or mixed) and a block size."""
+    n = draw(st.integers(1, 30))
+    column = st.lists(_EXPORT_VALUES, min_size=n, max_size=n)
+    labels = st.one_of(
+        st.lists(st.integers(0, 5), min_size=n, max_size=n),
+        st.lists(st.integers(1, 5), min_size=n, max_size=n),
+        st.just([0] * n),
+    )
+    return draw(column), draw(column), draw(column), draw(labels), draw(st.integers(1, n + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_export_cases())
+@example(case=([1], [1], [1], [0], 1))  # a one-row log of single digits
+@example(case=([2**63 - 1], [1], [-(2**63)], [3], 1))
+@example(case=([5, 123456, 7], [-(2**63), 2**49, 9], [-1, 0, 10**18], [0, 2, 4], 2))
+@example(case=([3, 10**15, 42], [1, 2, 3], [-5, 6, -7], [1, 5, 0], 4))
+def test_export_matches_reference_writer(tmp_path_factory, case):
+    import hybridnet.io
+
+    *columns, block_rows = case
+    log = EdgeLog.from_columns(*columns)
+    directory = tmp_path_factory.mktemp("export")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hybridnet.io, "_EXPORT_ROWS", block_rows)
+        export(log, directory / "rendered.edges")
+    reference_write_edge_log(log, directory / "reference.edges")
+    assert (directory / "rendered.edges").read_bytes() == (
+        directory / "reference.edges"
+    ).read_bytes()

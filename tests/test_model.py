@@ -134,6 +134,49 @@ class TestAttachmentKernels:
         assert total_out == pytest.approx(1.0, abs=1e-12)
 
 
+class TestNetworkState:
+    LISTS = dict(
+        node_count=3, step=2, in_degree=[2, 0, 1], out_degree=[1, 2, 0], creation_step=[0, 1, 2]
+    )
+
+    def test_lists_become_int64_arrays(self):
+        state = NetworkState(**self.LISTS)
+        arrays = {
+            k: np.array(v, dtype=np.int64) if isinstance(v, list) else v
+            for k, v in self.LISTS.items()
+        }
+        assert state == NetworkState(**arrays)
+        for name in ("in_degree", "out_degree", "creation_step"):
+            assert getattr(state, name).dtype == np.int64
+        assert state != NetworkState(**{**self.LISTS, "in_degree": [1, 1, 1]})
+        assert state != NetworkState(**{**self.LISTS, "step": 3})
+
+    def test_consistency_messages(self):
+        NetworkState(**self.LISTS).check_consistency()
+        with pytest.raises(ValueError, match=r"degree mass must equal step\+1=3, got in=4, out=3"):
+            NetworkState(**{**self.LISTS, "in_degree": [2, 1, 1]}).check_consistency()
+        with pytest.raises(ValueError, match=r"degree arrays \(3, 2, 3\) inconsistent"):
+            NetworkState(**{**self.LISTS, "out_degree": [1, 2]}).check_consistency()
+
+    def test_attachment_matches_list_formula(self):
+        th = HybridParams.fill_gamma(0.3, 0.4, p=0.7, delta_in=1.3, delta_out=0.6)
+        state = NetworkState(**self.LISTS)
+        mass, n = self.LISTS["step"] + 1, self.LISTS["node_count"]
+        for i in range(1, n + 1):
+            d_in, d_out = self.LISTS["in_degree"][i - 1], self.LISTS["out_degree"][i - 1]
+            p_in = th.p * ((d_in + th.delta_in) / (mass + th.delta_in * n)) + (1.0 - th.p) / n
+            p_out = th.p * ((d_out + th.delta_out) / (mass + th.delta_out * n)) + (1.0 - th.p) / n
+            assert type(attach_prob_in(state, i, th)) is float
+            assert attach_prob_in(state, i, th) == p_in
+            assert attach_prob_out(state, i, th) == p_out
+
+    def test_pickle_round_trip(self):
+        state, _ = small_simulated_state(
+            HybridParams.fill_gamma(0.3, 0.4, p=0.7, delta_in=1.3, delta_out=0.6), 300, seed=4
+        )
+        assert pickle.loads(pickle.dumps(state)) == state
+
+
 class TestStepDistribution:
     def test_seed_state_hand_enumeration(self):
         th = HybridParams.fill_gamma(0.2, 0.5, p=0.6, delta_in=1.0, delta_out=2.0)
