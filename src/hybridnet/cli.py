@@ -137,13 +137,14 @@ def cmd_fit(args) -> int:
         "estimate": result.point.as_dict(),
         "log_likelihood": result.log_likelihood,
         "converged": result.converged,
+        "active_bound": result.diagnostics.get("active_bound"),
         "acceptance_rate": result.acceptance_rate,
         "seed": args.seed,
-        "settings": {
-            "burn_in": args.burn_in,
-            "iterations": args.iterations,
-            "thinning": args.thinning,
-            "delta_max": args.delta_max,
+        "settings": {  # the sampler settings are null under nm, which runs no sampler
+            **{
+                name: getattr(mh_config, name, None)
+                for name in ("burn_in", "iterations", "thinning", "delta_max")
+            },
             "init": args.init,
         },
     }

@@ -4,9 +4,10 @@ The scenario probabilities enter the likelihood only through a multinomial
 term; the kernel terms involve only (p, delta_in, delta_out).  Both
 estimators use that split.  The maximum-likelihood search fixes the
 scenario block at its closed-form maximum (the empirical frequencies) and
-runs a Newton ascent on (p, log delta_in, log delta_out).  Under flat priors
-the posterior factorises the same way: the sampler draws the scenario block
-exactly from its Dirichlet posterior and runs a random-walk
+runs a projected Newton ascent on (delta_in, delta_out, p), the coordinates
+of the likelihood's derivatives, with one rule for every bound.  Under flat
+priors the posterior factorises the same way: the sampler draws the
+scenario block exactly from its Dirichlet posterior and runs a random-walk
 Metropolis-Hastings chain, with a proposal adapted during burn-in, on
 (p, log delta_in, log delta_out) only.  The integrated pipeline starts the
 Newton search at the sampler's posterior point estimate.  ``fit`` selects
@@ -32,7 +33,7 @@ from .likelihood import (
 from .model import HybridParams
 
 _PROB_EPS = 1e-9
-_MAX_STEP = 1.0  # longest Newton step per search coordinate; an uncapped one can overflow exp
+_DELTA_FLOOR = 1e-12  # lower bound of the offsets in the Newton search; HybridParams needs delta > 0
 _EIG_RTOL = 1e-8  # eigenvalue floor of -H, relative to its largest magnitude
 _ARMIJO = 1e-4  # sufficient-increase fraction of the line search
 _MAX_HALVINGS = 50
@@ -48,7 +49,8 @@ class NelderMeadConfig:
     of the simplex search it replaced.  ``max_iters`` bounds the Newton
     steps.  It converges when the Newton decrement g'(-H)^-1 g / 2, the gain
     the quadratic model predicts, is at most ``f_tol``, or when a step moves
-    no coordinate of (p, log delta_in, log delta_out) by over ``x_tol``."""
+    ``p`` by at most ``x_tol`` and each offset by at most ``x_tol`` times
+    itself (to first order, ``x_tol`` in log delta)."""
 
     initial_point: HybridParams
     max_iters: int = 4000
@@ -136,72 +138,70 @@ def _scenario_block(stats: SufficientStats) -> tuple[list[float], bool]:
     return probs, not mle.regular
 
 
-def _search_derivatives(stats: SufficientStats, x: np.ndarray):
-    """Kernel log-likelihood, gradient and Hessian in x = (log delta_in, log delta_out, p)."""
-    deltas = np.exp(x[:2])
-    ll, grad, hess = _kernel_derivatives(stats, x[2], *deltas)
-    jac = np.append(deltas, 1.0)
-    grad *= jac
-    hess *= np.outer(jac, jac)
-    hess[[0, 1], [0, 1]] += grad[:2]  # d2/du2 = delta^2 d2/ddelta2 + delta d/ddelta
-    return ll, grad, hess
-
-
-def _newton_step(grad: np.ndarray, hess: np.ndarray, n: int) -> np.ndarray:
-    """Solve (-H) s = g over the first ``n`` search coordinates (``n = 2``
-    holds p), with nonpositive eigenvalues of -H raised to a small floor."""
-    eigenvalues, vectors = np.linalg.eigh(-hess[:n, :n])
-    eigenvalues[eigenvalues <= 0.0] = max(_EIG_RTOL * np.abs(eigenvalues).max(), 1e-300)
-    return np.append(vectors @ ((vectors.T @ grad[:n]) / eigenvalues), np.zeros(3 - n))
+def _newton_step(grad: np.ndarray, hess: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """Solve (-H) s = g over the ``free`` coordinates, with nonpositive
+    eigenvalues of -H raised to a small floor; held coordinates get 0."""
+    step = np.zeros(3)
+    if free.any():
+        eigenvalues, vectors = np.linalg.eigh(-hess[np.ix_(free, free)])
+        eigenvalues[eigenvalues <= 0.0] = max(_EIG_RTOL * np.abs(eigenvalues).max(), 1e-300)
+        step[free] = vectors @ ((vectors.T @ grad[free]) / eigenvalues)
+    return step
 
 
 def fit_nelder_mead(stats: SufficientStats, config: NelderMeadConfig) -> EstimationResult:
-    """Maximise the log-likelihood by damped Newton ascent with the analytic
-    Hessian, from the kernel coordinates of ``config.initial_point``.
+    """Maximise the log-likelihood by projected Newton ascent (Bertsekas,
+    SIAM J. Control Optim. 20(2), 1982) on (delta_in, delta_out, p) over
+    [_DELTA_FLOOR, inf)^2 x [0, 1], from ``config.initial_point`` moved into
+    that box, with the scenario block fixed at the empirical frequencies.
 
-    The scenario block is fixed at its exact maximum, the empirical
-    frequencies.  Steps are capped in length and backtracked to the Armijo
-    condition.  A step that would take ``p`` out of [0, 1] stops on the
-    bound; ``p`` is held on a bound that the Newton step points out of
-    (``diagnostics["active_bound"]``).  ``converged`` is False when
-    ``max_iters`` runs out, the line search finds no ascent, or a scenario
-    frequency is on the regularity boundary."""
+    A coordinate on a bound is held when the gradient or the Newton step
+    points out of the box, and ``diagnostics["active_bound"]`` names it
+    (``"delta_out = floor"``, ``"p = 1"``).  A step stops at the first bound
+    it meets and is backtracked to the Armijo condition.  ``converged`` is
+    False when ``max_iters`` runs out, the line search finds no ascent, or a
+    scenario frequency is on the regularity boundary."""
     probs, boundary = _scenario_block(stats)
     start = config.initial_point
-    x = np.array([math.log(start.delta_in), math.log(start.delta_out), start.p])
+    lower, upper = np.array([_DELTA_FLOOR, _DELTA_FLOOR, 0.0]), np.array([math.inf, math.inf, 1.0])
+    x = np.clip([start.delta_in, start.delta_out, start.p], lower, upper)
+    ll, grad, hess = _kernel_derivatives(stats, x[2], x[0], x[1])
+    evals = 1
     converged, message = False, "iteration budget exhausted"
-    with np.errstate(all="ignore"):  # a trial step may overflow; it is then rejected
-        ll, grad, hess = _search_derivatives(stats, x)
-        evals = 1
-        for iteration in range(1, config.max_iters + 1):
-            step = _newton_step(grad, hess, 3)
-            # p on a bound that the step points out of is held there
-            active = x[2] if x[2] in (0.0, 1.0) and (step[2] > 0.0) == (x[2] == 1.0) else None
-            step = step if active is None else _newton_step(grad, hess, 2)
-            if 0.5 * float(grad @ step) <= config.f_tol or np.abs(step).max() <= config.x_tol:
-                converged, message = True, "Newton decrement or step within tolerance"
+    for iteration in range(1, config.max_iters + 1):
+        on_lower, on_upper = x <= lower, x >= upper
+        held = (on_lower & (grad <= 0.0)) | (on_upper & (grad >= 0.0))
+        step = _newton_step(grad, hess, ~held)
+        # holding one coordinate can turn the step over another outwards
+        while (out := (on_lower & (step < 0.0)) | (on_upper & (step > 0.0))).any():
+            held |= out
+            step = _newton_step(grad, hess, ~held)
+        # x_tol is relative for the offsets, whose Newton step near 0 is about delta itself
+        scale = np.array([x[0], x[1], 1.0])
+        if 0.5 * float(grad @ step) <= config.f_tol or (np.abs(step) <= config.x_tol * scale).all():
+            converged, message = True, "Newton decrement or step within tolerance"
+            break
+        edge = np.where(step < 0.0, lower, upper)  # the bound that each coordinate moves towards
+        t_edge = np.divide(edge - x, step, out=np.full(3, math.inf), where=step != 0.0)
+        t = min(1.0, t_edge.min())
+        for _ in range(_MAX_HALVINGS):
+            trial = np.clip(x + t * step, lower, upper)
+            hits = t_edge == t  # exactly on the edge, so that the bound can become active
+            trial[hits] = edge[hits]
+            trial_ll, trial_grad, trial_hess = _kernel_derivatives(stats, trial[2], trial[0], trial[1])
+            evals += 1
+            if trial_ll >= ll + _ARMIJO * t * (grad @ step):
                 break
-            step *= min(1.0, _MAX_STEP / np.abs(step).max())
-            edge = float(step[2] > 0.0)  # the bound that p moves towards
-            t_edge = (edge - x[2]) / step[2] if step[2] else math.inf
-            t = min(1.0, t_edge)
-            for _ in range(_MAX_HALVINGS):
-                trial = x + t * step
-                # exactly on the edge, so that the bound can become active
-                trial[2] = edge if t == t_edge else min(max(trial[2], 0.0), 1.0)
-                trial_ll, trial_grad, trial_hess = _search_derivatives(stats, trial)
-                evals += 1
-                if np.isfinite(trial_hess).all() and trial_ll >= ll + _ARMIJO * t * (grad @ step):
-                    break
-                t *= 0.5
-            else:
-                message = "line search found no ascent"
-                break
-            x, ll, grad, hess = trial, trial_ll, trial_grad, trial_hess
-    point = _params_from_components((*probs, x[2], *np.exp(x[:2])))
+            t *= 0.5
+        else:
+            message = "line search found no ascent"
+            break
+        x, ll, grad, hess = trial, trial_ll, trial_grad, trial_hess
+    point = _params_from_components((*probs, x[2], x[0], x[1]))
     diagnostics = {"iterations": iteration, "function_evals": evals, "restarts": 0, "message": message}
-    if active is not None:
-        diagnostics["active_bound"] = f"p = {active:g}"
+    if held.any():
+        names = ("delta_in = floor", "delta_out = floor", f"p = {x[2]:g}")
+        diagnostics["active_bound"] = ", ".join(n for n, h in zip(names, held) if h)
     if boundary:
         diagnostics["boundary"] = "a scenario frequency sits on the regularity boundary"
     return EstimationResult(

@@ -92,6 +92,11 @@ class TestFitCommand:
         n1 = sum(1 for r in log if r.scenario == 1)
         assert payload["estimate"]["alpha"] == pytest.approx(n1 / len(log), abs=1e-9)
         assert payload["converged"] is True
+        # the search's held coordinates, null when none is held
+        start = HybridParams.fill_gamma(1 / 3, 1 / 3, p=0.5, delta_in=1.0, delta_out=1.0)
+        result = fit_nelder_mead(replay(log), NelderMeadConfig(initial_point=start))
+        assert payload["active_bound"] == result.diagnostics.get("active_bound") == "p = 1"
+        assert payload["estimate"]["p"] == 1.0
 
     def test_mh_fit_writes_trace(self, simulated_dir, tmp_path):
         trace_path = tmp_path / "trace.csv"
@@ -135,14 +140,22 @@ class TestFitCommand:
         assert "delta_max" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [["--iterations", "10"], ["--thinning", "0"],
-                                       ["--burn-in", "-1"], ["--delta-max", "0"]])
+                                       ["--burn-in", "-1"], ["--delta-max", "0"],
+                                       ["--delta-max", "inf"], ["--delta-max", "nan"]])
     def test_nm_ignores_sampler_settings(self, simulated_dir, tmp_path, flags):
         # the Newton search runs no sampler, so its settings cannot fail it
         est_path = tmp_path / "est.json"
         code = run(["fit", "--input", str(simulated_dir / "replicate_000.edges"),
                     "--method", "nm", *flags, "--out", str(est_path)])
         assert code == 0
-        assert json.loads(est_path.read_text())["converged"] is True
+
+        def reject(constant):  # strict JSON has no Infinity or NaN
+            raise ValueError(f"not strict JSON: {constant}")
+
+        payload = json.loads(est_path.read_text(), parse_constant=reject)
+        assert payload["converged"] is True
+        sampler = ("burn_in", "iterations", "thinning", "delta_max")
+        assert all(payload["settings"][name] is None for name in sampler)
 
     def test_unseeded_fit_on_windowed_style_data(self, tmp_path):
         # real-data-shaped input: no seed self-loop, first record opens the graph

@@ -21,7 +21,9 @@ from hybridnet import (
     log_likelihood,
     mle_scenarios,
     replay,
+    score,
     simulate,
+    simulate_replicates,
     window,
 )
 from hybridnet import cli, estimation
@@ -36,6 +38,27 @@ FIXED_START = HybridParams.fill_gamma(1 / 3, 1 / 3, p=0.5, delta_in=1.0, delta_o
 TABLE1 = HybridParams.fill_gamma(0.1, 0.8, p=0.8, delta_in=1.3, delta_out=0.7)
 SCENARIOS = ("alpha", "beta", "gamma", "xi", "eta")
 KERNEL = ("p", "delta_in", "delta_out")
+# (alpha, beta, p, delta_in, delta_out) of the 3000-edge stress logs; U is
+# pure uniform attachment, where the offsets drop out of the likelihood at p = 0
+STRESS = {
+    "T1": (0.1, 0.8, 0.8, 1.3, 0.7),
+    "S1": (0.1, 0.8, 0.05, 1.3, 0.7),
+    "S2": (0.1, 0.8, 1.0, 0.01, 0.02),
+    "S3": (0.1, 0.8, 1.0, 50.0, 80.0),
+    "S4": (0.3, 0.4, 0.9, 500.0, 1000.0),
+    "U": (0.1, 0.8, 0.0, 1.3, 0.7),
+}
+START_GRID = [(p, d) for p in (0.0, 0.5, 1.0) for d in (1e-14, 1.0, 100.0)]
+
+
+def stress_stats(name, seed):
+    a, b, p, d_in, d_out = STRESS[name]
+    th = HybridParams.fill_gamma(a, b, p=p, delta_in=d_in, delta_out=d_out)
+    return replay(simulate(SimulationConfig(params=th, n_edges=3000, seed=seed)).log)
+
+
+def grid_start(p, delta):
+    return NelderMeadConfig(initial_point=replace(FIXED_START, p=p, delta_in=delta, delta_out=delta))
 
 
 @pytest.fixture(scope="module")
@@ -182,6 +205,62 @@ class TestNewtonSearch:
         assert result.converged
         assert result.diagnostics["active_bound"] == "p = 1"
         assert result.log_likelihood >= reference.log_likelihood - 1e-9
+
+    @pytest.fixture(scope="class")
+    def criterion01_replicates(self):
+        # the criterion-01 replicates of tests/test_acceptance.py
+        config = SimulationConfig(params=TABLE1, n_edges=10_000, seed=20250810)
+        return [replay(out.log) for out in simulate_replicates(config, 20, worker_count=2)]
+
+    @pytest.mark.parametrize("replicate", [0, 2, 3, 10, 14])
+    def test_offset_held_on_its_floor(self, criterion01_replicates, replicate):
+        # the delta_out maximum of these replicates is at 0: the search holds
+        # it on the floor, where the Karush-Kuhn-Tucker conditions hold
+        stats = criterion01_replicates[replicate]
+        result = fit_nelder_mead(stats, NelderMeadConfig(initial_point=FIXED_START))
+        assert result.converged
+        assert result.diagnostics["active_bound"] == "delta_out = floor"
+        assert result.point.delta_out == estimation._DELTA_FLOOR
+        g_in, g_out, g_p = score(stats, result.point)
+        assert g_out <= 0.0
+        assert abs(g_in) <= 1e-2 and abs(g_p) <= 1e-2
+
+    @pytest.mark.parametrize("delta", [1e-14, 1.0, 100.0])
+    def test_offset_tolerance_is_relative(self, delta):
+        # near delta = 0 the Newton step is about delta itself; an absolute
+        # x_tol there stops the search 42 or more below the optimum
+        stats = stress_stats("S2", 1)
+        optimum = fit_nelder_mead(stats, NelderMeadConfig(initial_point=FIXED_START))
+        result = fit_nelder_mead(stats, grid_start(1.0, delta))
+        assert result.converged
+        assert result.log_likelihood == pytest.approx(optimum.log_likelihood, abs=1e-9)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_uniform_attachment_names_every_held_coordinate(self, seed):
+        stats = stress_stats("U", seed)
+        on_bound = {"delta_in = floor": lambda th: th.delta_in == estimation._DELTA_FLOOR,
+                    "delta_out = floor": lambda th: th.delta_out == estimation._DELTA_FLOOR,
+                    "p = 0": lambda th: th.p == 0.0,
+                    "p = 1": lambda th: th.p == 1.0}
+        for p, delta in START_GRID:
+            result = fit_nelder_mead(stats, grid_start(p, delta))
+            assert result.converged
+            held = result.diagnostics.get("active_bound")
+            for name in [] if held is None else held.split(", "):
+                assert on_bound[name](result.point), (p, delta, name)
+        # at p = 0 the offsets have no gradient: every coordinate is held
+        result = fit_nelder_mead(stats, grid_start(0.0, 1e-14))
+        assert result.diagnostics["active_bound"] == "delta_in = floor, delta_out = floor, p = 0"
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("name", ["T1", "S1", "S2", "S3", "S4"])
+    def test_start_grid_reaches_reference_optimum(self, name, seed):
+        stats = stress_stats(name, seed)
+        for p, delta in START_GRID:
+            nm_config = grid_start(p, delta)
+            reference = reference_nelder_mead(stats, nm_config)
+            result = fit_nelder_mead(stats, nm_config)
+            assert result.log_likelihood >= reference.log_likelihood - 1e-9, (p, delta)
 
 
 class TestMetropolisHastings:
