@@ -139,6 +139,10 @@ def cmd_fit(args) -> int:
         "converged": result.converged,
         "active_bound": result.diagnostics.get("active_bound"),
         "acceptance_rate": result.acceptance_rate,
+        # exact likelihood evaluations of the sampler, null under nm
+        "sampler_likelihood_evals": result.diagnostics.get(
+            "likelihood_evals", result.diagnostics.get("mh_likelihood_evals")
+        ),
         "seed": args.seed,
         "settings": {  # the sampler settings are null under nm, which runs no sampler
             **{

@@ -9,8 +9,11 @@ of the likelihood's derivatives, with one rule for every bound.  Under flat
 priors the posterior factorises the same way: the sampler draws the
 scenario block exactly from its Dirichlet posterior and runs a random-walk
 Metropolis-Hastings chain, with a proposal adapted during burn-in, on
-(p, log delta_in, log delta_out) only.  The integrated pipeline starts the
-Newton search at the sampler's posterior point estimate.  ``fit`` selects
+(p, log delta_in, log delta_out) only.  The chain screens each proposal
+with a cheap upper bound on the kernel log-likelihood and evaluates the
+exact value only where the bound cannot reject; the decisions are those of
+the unscreened chain.  The integrated pipeline starts the Newton search at
+the sampler's posterior point estimate.  ``fit`` selects
 one of the three estimators by name.
 """
 
@@ -26,6 +29,7 @@ from .likelihood import (
     SufficientStats,
     _kernel_derivatives,
     _kernel_log_likelihood,
+    _kernel_upper_bound,
     _scenario_log_likelihood,
     log_likelihood,
     mle_scenarios,
@@ -253,6 +257,18 @@ def fit_mh(stats: SufficientStats, config: MhConfig) -> EstimationResult:
     Metropolis-Hastings chain.  With ``burn_in=0`` the initial proposal is
     used throughout.
 
+    The uniform of each step is drawn before its proposal is evaluated.
+    Inside the prior support, ``_kernel_upper_bound`` gives a bound on the
+    computed kernel log-likelihood, and the exact value is evaluated only
+    when ``u`` falls below the acceptance probability of that bound
+    (Solonen et al., Bayesian Analysis 7(3), 2012, early rejection).
+    ``accept_probability`` is nondecreasing in the proposal's log target,
+    and rounding is monotone, so a step that the bound rejects is one that
+    the exact value rejects: every decision, draw and acceptance rate is
+    the unscreened chain's.  ``diagnostics["likelihood_evals"]`` counts
+    the exact evaluations, those of the start and the point estimate
+    included.
+
     The trace keeps every ``thinning``-th post-burn-in draw with its data
     log-likelihood, and the point estimate is the mean of the kept draws;
     the acceptance rate is the kernel walk's over the post-burn-in phase.
@@ -265,11 +281,13 @@ def fit_mh(stats: SufficientStats, config: MhConfig) -> EstimationResult:
     log_delta_max = math.log(config.delta_max)
     rng = np.random.default_rng(config.seed)
 
+    evals = 0
+
     def log_target(x: np.ndarray) -> tuple[float, float]:
-        """(sampled-space log density, kernel log-likelihood); zero density
-        outside the prior support."""
-        if not (0.0 <= x[0] <= 1.0 and x[1] <= log_delta_max and x[2] <= log_delta_max):
-            return -math.inf, -math.inf
+        """(sampled-space log density, kernel log-likelihood) of a point
+        inside the prior support."""
+        nonlocal evals
+        evals += 1
         ll = _kernel_log_likelihood(stats, x[0], math.exp(x[1]), math.exp(x[2]))
         if not math.isfinite(ll):
             return -math.inf, -math.inf
@@ -290,8 +308,15 @@ def fit_mh(stats: SufficientStats, config: MhConfig) -> EstimationResult:
         lp, ll = log_target(x)
         for t in range(1, burn_in + config.iterations + 1):
             proposal = x + chol @ rng.standard_normal(3)
-            lpp, llp = log_target(proposal)
-            accepted = rng.random() < accept_probability(lp, lpp)
+            u = rng.random()
+            p, log_delta_in, log_delta_out = proposal
+            accepted = False
+            if 0.0 <= p <= 1.0 and log_delta_in <= log_delta_max and log_delta_out <= log_delta_max:
+                bound = _kernel_upper_bound(stats, p, math.exp(log_delta_in), math.exp(log_delta_out))
+                # the screen: a proposal that its bound rejects, the exact value rejects too
+                if u < accept_probability(lp, bound + log_delta_in + log_delta_out):
+                    lpp, llp = log_target(proposal)
+                    accepted = u < accept_probability(lp, lpp)
             if accepted:
                 x, lp, ll = proposal, lpp, llp
             if t <= burn_in:
@@ -327,6 +352,7 @@ def fit_mh(stats: SufficientStats, config: MhConfig) -> EstimationResult:
         log_likelihood=log_likelihood(stats, point),
         trace=trace,
         acceptance_rate=accepts / config.iterations,
+        diagnostics={"likelihood_evals": evals + 1},  # the point's evaluation included
     )
 
 
@@ -347,13 +373,18 @@ def fit_integrated(
     stats: SufficientStats, mh_config: MhConfig, nm_config_template: NelderMeadConfig
 ) -> EstimationResult:
     """Coarse posterior sampling, then the Newton search from the posterior
-    point estimate; returns the Newton result with the sampler's trace and
-    acceptance statistics attached."""
+    point estimate; returns the Newton result with the sampler's trace,
+    acceptance rate, point (``mh_point``) and exact-evaluation count
+    (``mh_likelihood_evals``) attached."""
     mh = fit_mh(stats, mh_config)
     nm = fit_nelder_mead(stats, replace(nm_config_template, initial_point=mh.point))
     nm.trace = mh.trace
     nm.acceptance_rate = mh.acceptance_rate
-    nm.diagnostics = {**nm.diagnostics, "mh_point": mh.point}
+    nm.diagnostics = {
+        **nm.diagnostics,
+        "mh_point": mh.point,
+        "mh_likelihood_evals": mh.diagnostics["likelihood_evals"],
+    }
     return nm
 
 

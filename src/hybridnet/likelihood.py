@@ -24,10 +24,29 @@ from .model import EdgeLog, HybridParams, _counts_before, _novelty_pass
 _CHUNK = 32  # kernel ratios per log
 # the ratio range in which no product of _CHUNK ratios leaves exp(+-700)
 _RATIO_LO, _RATIO_HI = math.exp(-700.0 / _CHUNK), math.exp(700.0 / _CHUNK)
+# bins of the kernel envelope: d exact below _ENV_D_CUT, then classes of
+# ratio _ENV_D_RATIO; r in classes of ratio _ENV_R_RATIO
+_ENV_D_CUT = 64
+_ENV_D_RATIO = 1.03
+_ENV_R_RATIO = 1.02
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 class BracketingError(RuntimeError):
     """Raised when a root search finds no sign change in its bracket."""
+
+
+class _KernelEnvelope(NamedTuple):
+    """The cached bins of ``_kernel_upper_bound``: one column of
+    (d, r, 1, in, out) coefficients and one weight per log, the least r (at
+    most 1), the greatest d or r (at least 1), and the scale of the
+    rounding margin."""
+
+    columns: np.ndarray
+    weights: np.ndarray
+    r_low: float
+    top: float
+    tol: float
 
 
 @dataclass
@@ -50,6 +69,21 @@ class SufficientStats:
     and ``U``; ``_kernel_bounds`` caches ``(R, U)``, with
     ``R = max(1, max r)`` and ``U = max(1, max d / r)``, so that
     ``_kernel_log_likelihood`` bounds every ratio in O(1).
+
+    ``_kernel_envelope`` caches an upper bound on the kernel terms for
+    every (p, delta_in, delta_out), built from two inequalities on the
+    steps of one direction.  The numerator's ``log(p d + (1 - p) r + delta)``
+    is concave in (d, r), so by Jensen's inequality a bin of ``n_b`` steps
+    contributes at most ``n_b log(p d_b + (1 - p) r_b + delta)``, at the
+    bin's mean (d_b, r_b).  The bins hold one d each below ``_ENV_D_CUT``
+    and d within a ratio ``_ENV_D_RATIO`` above it, and r within a ratio
+    ``_ENV_R_RATIO``.  The denominator's ``-log(r + delta)`` is convex in
+    r, so in an r class [a, b] each step lies below its chord:
+    ``-log(r + delta) <= -l log(a + delta) - (1 - l) log(b + delta)`` with
+    ``l = (b - r) / (b - a)``, and the class contributes its summed ``l``
+    and ``1 - l`` as weights on a and b.  Each bound is the log of an
+    affine function of (p, 1 - p, 1, delta_in, delta_out), so both sit in
+    one matrix; see ``_kernel_upper_bound``.
     """
 
     scenario: np.ndarray
@@ -80,6 +114,47 @@ class SufficientStats:
     def _kernel_bounds(self) -> tuple[float, float]:
         d, r, _, _ = self._kernel_steps
         return float(r.max(initial=1.0)), float((d / r).max(initial=1.0))
+
+    @cached_property
+    def _kernel_envelope(self) -> _KernelEnvelope:
+        d, r, n_in, _ = self._kernel_steps
+        n = d.shape[0]
+        out = (np.arange(n) >= n_in).astype(np.int64)
+        r_class = np.floor(np.log(r) / math.log(_ENV_R_RATIO)).astype(np.int64)
+        r_class -= r_class.min(initial=0)
+        d_class = np.floor(np.log(np.maximum(d, _ENV_D_CUT) / _ENV_D_CUT) / math.log(_ENV_D_RATIO))
+        d_class = np.where(d < _ENV_D_CUT, d, _ENV_D_CUT + d_class).astype(np.int64)
+        span = int(r_class.max(initial=0)) + 1
+        # numerator bins: (direction, d class, r class), at their mean (d, r)
+        key = (out * (int(d_class.max(initial=0)) + 1) + d_class) * span + r_class
+        _, bin_of, n_b = np.unique(key, return_inverse=True, return_counts=True)
+        num = np.zeros((5, n_b.shape[0]))
+        num[0] = np.bincount(bin_of, d) / n_b
+        num[1] = np.bincount(bin_of, r) / n_b
+        num[4, bin_of] = out
+        # denominator chords: (direction, r class), weights on its least and greatest r
+        _, class_of, n_c = np.unique(out * span + r_class, return_inverse=True, return_counts=True)
+        lo, hi = np.full(n_c.shape[0], math.inf), np.zeros(n_c.shape[0])
+        np.minimum.at(lo, class_of, r)
+        np.maximum.at(hi, class_of, r)
+        width = (hi - lo)[class_of]
+        to_hi = np.divide(r - lo[class_of], width, out=np.zeros(n), where=width > 0.0)
+        w_hi = np.bincount(class_of, to_hi, minlength=n_c.shape[0])
+        den = np.zeros((5, n_c.shape[0]))
+        den[4, class_of] = out
+        columns = np.hstack((num, den, den))
+        columns[2, n_b.shape[0] :] = np.concatenate((lo, hi))
+        columns[3] = 1.0 - columns[4]
+        weights = np.concatenate((n_b, -(n_c - w_hi), -w_hi))
+        keep = weights != 0.0  # a class of one r value has no upper end
+        columns, weights = columns[:, keep], weights[keep]
+        return _KernelEnvelope(
+            columns=np.ascontiguousarray(columns),
+            weights=weights,
+            r_low=min(1.0, float(r.min(initial=1.0))),
+            top=max(1.0, float(d.max(initial=1.0)), float(r.max(initial=1.0))),
+            tol=2.0 * _UNIT_ROUNDOFF * (n + weights.shape[0] + 256) * float(np.abs(weights).sum()),
+        )
 
 
 def replay(log: EdgeLog, seeded: bool = True) -> SufficientStats:
@@ -161,6 +236,42 @@ def _kernel_log_likelihood(stats, p, delta_in, delta_out):
     return float(np.log(x, out=x).sum()) - log_v_sum
 
 
+def _kernel_upper_bound(stats, p, delta_in, delta_out):
+    """An upper bound on the computed ``_kernel_log_likelihood``, from the
+    cached envelope (see ``SufficientStats``): ``w @ log(c @ M)`` with
+    ``c = (p, 1 - p, 1, delta_in, delta_out)``, minus the sum of ``log v``,
+    plus a rounding margin.  A NaN bound comes back as ``+inf``, which
+    rejects nothing.
+
+    The margin covers the rounding of both sides; u = 2^-53, n is the
+    number of steps, B of columns, and W the summed absolute weights (2n
+    up to rounding).  Every log argument, in the exact value and in the
+    bound, is a sum or product of nonnegative numbers, and a log turns its
+    relative error into an absolute error of the same size.  A chunk of
+    ``_CHUNK`` ratios carries at most about 223u, under 8u per step; a
+    column at most (n_b + 8)u per unit of weight, from its bin means (or
+    chord weights) and its five products.  These sum to at most
+    (n + 8) u W.  A computed sum of N terms lies within about N u times
+    the sum of their magnitudes, in any order (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., section 4.2).  Every
+    numerator, denominator and column lies in ``[lo, hi]``, with
+    ``lo = (1 - p) r_low + min delta`` and ``hi = top + max delta``, so each
+    log is at most ``L = max(-log lo, log hi)`` in magnitude; the exact
+    terms and the weighted logs of the bound each sum to at most ``W L``
+    in magnitude.  Both rounding errors are therefore below
+    ``(n + B + 256) u W (1 + L)``, and the margin is twice that.  Where
+    ``lo`` is 0 no such L exists, and the bound is ``+inf``.
+    """
+    env = stats._kernel_envelope
+    c = np.array((p, 1.0 - p, 1.0, delta_in, delta_out))
+    bound = float(env.weights @ np.log(c @ env.columns))
+    lo = (1.0 - p) * env.r_low + min(delta_in, delta_out)
+    if math.isnan(bound) or lo <= 0.0:
+        return math.inf
+    spread = max(-math.log(lo), math.log(env.top + max(delta_in, delta_out)))
+    return bound + env.tol * (1.0 + spread) - stats._kernel_steps[3]
+
+
 def log_likelihood(stats: SufficientStats, theta: HybridParams) -> float:
     """Exact log-likelihood of the replayed log under ``theta``.
 
@@ -203,8 +314,21 @@ def _kernel_derivatives(stats, p, delta_in, delta_out):
 
 
 def score(stats: SufficientStats, theta: HybridParams) -> np.ndarray:
-    """Analytic gradient of the log-likelihood in (delta_in, delta_out, p)."""
-    return _kernel_derivatives(stats, theta.p, theta.delta_in, theta.delta_out)[1]
+    """Analytic gradient of the log-likelihood in (delta_in, delta_out, p):
+    ``_kernel_derivatives``' gradient, by the same operations, without the
+    Hessian or the log-likelihood."""
+    d, r, n_in, _ = stats._kernel_steps
+    p = theta.p
+    delta = np.empty_like(r)
+    delta[:n_in], delta[n_in:] = theta.delta_in, theta.delta_out
+    num = p * d
+    num += (1.0 - p) * r
+    num += delta
+    inv_num = np.reciprocal(num, out=num)
+    g_p = d - r
+    g_p *= inv_num
+    g_delta = inv_num - np.reciprocal(np.add(r, delta, out=delta), out=delta)
+    return np.array((g_delta[:n_in].sum(), g_delta[n_in:].sum(), g_p.sum()))
 
 
 class ScenarioMle(NamedTuple):

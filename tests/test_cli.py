@@ -105,6 +105,9 @@ class TestFitCommand:
                     "--thinning", "200", "--seed", "5",
                     "--out", str(tmp_path / "est.json"), "--trace-out", str(trace_path)])
         assert code == 0
+        # the sampler's exact evaluations: at most one per step, the start and the point
+        evals = json.loads((tmp_path / "est.json").read_text())["sampler_likelihood_evals"]
+        assert isinstance(evals, int) and 2 <= evals <= 200 + 1000 + 2
         with trace_path.open() as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 5
@@ -156,6 +159,7 @@ class TestFitCommand:
         assert payload["converged"] is True
         sampler = ("burn_in", "iterations", "thinning", "delta_max")
         assert all(payload["settings"][name] is None for name in sampler)
+        assert payload["sampler_likelihood_evals"] is None
 
     def test_unseeded_fit_on_windowed_style_data(self, tmp_path):
         # real-data-shaped input: no seed self-loop, first record opens the graph
@@ -199,6 +203,7 @@ class TestFitCommand:
         assert code == 0
         payload = json.loads(est_path.read_text())
         assert payload["estimate"]["p"] >= 0.99
+        assert 2 <= payload["sampler_likelihood_evals"] <= 2000 + 4000 + 2
 
 
 class TestTableCommand:

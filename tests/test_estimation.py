@@ -302,6 +302,22 @@ class TestMetropolisHastings:
         assert fast.acceptance_rate == slow.acceptance_rate
         assert fast.point == slow.point
 
+    def test_screen_changes_no_decision(self, monkeypatch):
+        # a bound of +inf rejects nothing, which switches the screen off
+        log = simulate(SimulationConfig(params=TABLE1, n_edges=10_000, seed=1)).log
+        stats = replay(log)
+        config = MhConfig(burn_in=2_000, iterations=4_000, thinning=100, seed=3)
+        screened = fit_mh(stats, config)
+        monkeypatch.setattr(estimation, "_kernel_upper_bound", lambda *args: math.inf)
+        unscreened = fit_mh(stats, config)
+        assert screened.trace == unscreened.trace
+        assert screened.point == unscreened.point
+        assert screened.acceptance_rate == unscreened.acceptance_rate
+        steps = config.burn_in + config.iterations
+        assert screened.diagnostics["likelihood_evals"] <= 0.25 * steps
+        # unscreened: every proposal inside the prior support, the start and the point
+        assert steps / 2 < unscreened.diagnostics["likelihood_evals"] <= steps + 2
+
     def test_two_state_detailed_balance(self):
         # discretised toy target: two points with masses 0.3 / 0.7
         log_mass = {0: math.log(0.3), 1: math.log(0.7)}
@@ -420,6 +436,7 @@ class TestIntegrated:
         assert result.trace is not None and len(result.trace) == 5
         assert result.acceptance_rate is not None
         assert isinstance(result.diagnostics["mh_point"], HybridParams)
+        assert result.diagnostics["mh_likelihood_evals"] >= 2
 
 
 class TestDispatcher:

@@ -31,6 +31,7 @@ from hybridnet.likelihood import (
     SufficientStats,
     _kernel_derivatives,
     _kernel_log_likelihood,
+    _kernel_upper_bound,
 )
 from conftest import (
     ORACLE_SETTINGS,
@@ -263,6 +264,16 @@ class TestScore:
         assert stats.scenario_counts[2] == 3
         assert score(stats, theta)[0] == 0.0
 
+    @pytest.mark.parametrize("seeded", [True, False])
+    def test_is_the_derivative_pass_gradient(self, table1_params, seeded):
+        # the gradient-only pass repeats the derivative pass's operations
+        stats = _table1_stats(2000, seeded)
+        for p in (0.0, 0.3, 0.8, 1.0):
+            for delta in (1e-12, 1.0, 100.0):
+                theta = replace(table1_params, p=p, delta_in=delta, delta_out=2.0 * delta)
+                expected = _kernel_derivatives(stats, p, delta, 2.0 * delta)[1]
+                assert np.array_equal(score(stats, theta), expected)
+
     def test_p_component_vanishes_termwise(self, theta):
         # the single step has target in-degree * node count equal to the mass
         stats = replay(log_from_pairs([(1, 1)]))
@@ -352,15 +363,7 @@ class TestKernelOracle:
     def test_hub_degrees_match_reference(self):
         # every kernel step picks an endpoint of degree 1e10 with r = 1, so a
         # product of _CHUNK ratios would overflow
-        n = _CHUNK * _CHUNK + 7
-        hub = np.full(n, 10**10, dtype=np.int64)
-        stats = SufficientStats(
-            scenario=np.tile(np.array([1, 2, 3]), n)[:n],
-            target_in_degree=hub,
-            source_out_degree=hub,
-            node_count=np.full(n, 10, dtype=np.int64),
-            mass=np.full(n, 10, dtype=np.int64),
-        )
+        stats = _hub_stats()
         assert stats._kernel_bounds[1] > _RATIO_HI
         for p, delta in self.CORNERS:
             self._assert_kernel_matches(stats, p, delta, delta)
@@ -375,6 +378,65 @@ class TestKernelOracle:
     def test_matches_reference_for_any_offsets(self, p, log10_delta_in, log10_delta_out, seeded):
         stats = _table1_stats(1000, seeded)
         self._assert_kernel_matches(stats, p, 10.0**log10_delta_in, 10.0**log10_delta_out)
+
+
+class TestKernelEnvelope:
+    """``_kernel_upper_bound`` is never below the computed kernel
+    log-likelihood, a bound that computes to NaN rejects nothing, and the
+    bound is tight enough to screen the sampler's proposals."""
+
+    @staticmethod
+    @cache
+    def _logs():
+        seeded = _table1_stats(1000, True)
+        return {
+            "seeded": seeded,
+            "unseeded": _table1_stats(1000, False),
+            "hub": _hub_stats(),
+            "no out-steps": _sub_stats(seeded, np.flatnonzero(seeded.scenario == 1)),
+        }
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        log10_delta_in=st.floats(-300.0, 2.0),
+        log10_delta_out=st.floats(-300.0, 2.0),
+        name=st.sampled_from(["seeded", "unseeded", "hub", "no out-steps"]),
+    )
+    def test_bounds_the_computed_value(self, p, log10_delta_in, log10_delta_out, name):
+        stats = self._logs()[name]
+        delta_in, delta_out = 10.0**log10_delta_in, 10.0**log10_delta_out
+        exact = _kernel_log_likelihood(stats, p, delta_in, delta_out)
+        bound = _kernel_upper_bound(stats, p, delta_in, delta_out)
+        assert bound >= exact, (bound, exact)  # -inf only where the exact value is -inf
+
+    def test_nan_bound_rejects_nothing(self):
+        stats = _sub_stats(_table1_stats(1000, True), slice(None))  # a copy with its own cache
+        envelope = stats._kernel_envelope
+        weights = envelope.weights.copy()
+        weights[0] = math.nan
+        stats._kernel_envelope = envelope._replace(weights=weights)
+        assert _kernel_upper_bound(stats, 0.8, 1.3, 0.7) == math.inf
+
+    def test_slack_at_the_truth(self, table1_params):
+        # a bound far above the exact value would screen out nothing
+        stats = _table1_stats(10_000, True)
+        args = (table1_params.p, table1_params.delta_in, table1_params.delta_out)
+        slack = _kernel_upper_bound(stats, *args) - _kernel_log_likelihood(stats, *args)
+        assert 0.0 <= slack <= 2.0
+
+
+def _hub_stats():
+    """Kernel steps that all pick an endpoint of degree 1e10 with r = 1."""
+    n = _CHUNK * _CHUNK + 7
+    hub = np.full(n, 10**10, dtype=np.int64)
+    return SufficientStats(
+        scenario=np.tile(np.array([1, 2, 3]), n)[:n],
+        target_in_degree=hub,
+        source_out_degree=hub,
+        node_count=np.full(n, 10, dtype=np.int64),
+        mass=np.full(n, 10, dtype=np.int64),
+    )
 
 
 @cache
