@@ -21,7 +21,7 @@ from .estimation import FIT_METHODS, MhConfig, NelderMeadConfig, fit
 from .generator import SimulationConfig, replicate_seeds, simulate_replicates
 from .io import export, parse_edge_file
 from .likelihood import replay
-from .model import EdgeLog, HybridParams, classify_edge_log
+from .model import EdgeLog, HybridParams, _end_stream, classify_edge_log
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -231,11 +231,13 @@ def cmd_ccdf(args) -> int:
     source, target = log.source, log.target
     if not args.unseeded:  # prepend the seed self-loop on node 1
         source, target = np.concatenate(([1], source)), np.concatenate(([1], target))
-    ids, dense = np.unique(np.concatenate((source, target)), return_inverse=True)
-    edges = len(source)
-    out_degree = np.bincount(dense[:edges], minlength=len(ids))
-    in_degree = np.bincount(dense[edges:], minlength=len(ids))
-    counts = degree_counts_from_arrays(in_degree, out_degree, len(ids), edges)
+    # the dense id (rank among the distinct ids) of every endpoint-stream position
+    order, _, group, start = _end_stream(source, target)
+    dense = np.empty_like(order)
+    dense[order] = group
+    out_degree = np.bincount(dense[0::2], minlength=len(start))
+    in_degree = np.bincount(dense[1::2], minlength=len(start))
+    counts = degree_counts_from_arrays(in_degree, out_degree, len(start), len(source))
     curve = ccdf(counts, args.direction)
     export(curve, Path(args.out))
     print(f"wrote {len(curve)} ccdf points to {args.out}")

@@ -334,7 +334,7 @@ def fit_mh(stats: SufficientStats, config: MhConfig) -> EstimationResult:
         probs = np.zeros((n_kept, 5))
         probs[:, present] = rng.dirichlet(counts[present] + 1.0, size=n_kept)
         # the multinomial term of every kept draw (-inf where a drawn probability is 0)
-        scenario_ll = np.log(probs[:, present]) @ counts[present]
+        scenario_ll = (np.log(probs[:, present]) * counts[present]).sum(axis=1)
     draws = np.hstack([probs, kernel])  # columns: alpha..eta, p, delta_in, delta_out
     iterations = range(burn_in + thinning, burn_in + n_kept * thinning + 1, thinning)
     # rows of Python floats, zipped from the columns: no list per row is kept

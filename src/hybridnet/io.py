@@ -2,24 +2,26 @@
 
 The edge-file format is whitespace-separated integer columns
 ``source target [timestamp [scenario]]`` with ``%`` comment lines; missing
-timestamps fall back to the record order.  A plain file is decoded by one
-``np.loadtxt`` call and checked as arrays; any other file, and any file that
-breaks a rule, is read line by line, so that the error names the line.
-``window`` relabels by first appearance through the endpoint-stream sort
-that ``likelihood.replay`` also uses.  All exports produce byte-stable output
-for a fixed input: sorted keys, ``\\n`` newlines and 17-significant-digit
-floats.  An edge log is rendered block by block with numpy: the decimal
-digits of every column are computed by array arithmetic into one byte
-buffer, and a mask drops leading zeros, unused sign slots and absent
-scenario labels, so the text matches ``"%d"`` formatting for every int64
-without building a Python int per value.
+timestamps fall back to the record order.  The text is read once; a plain
+one (checked with a byte table) is then decoded by one ``np.loadtxt`` call
+on the file's path and checked as arrays, unless the file changed between
+the text read and the decode.  Any other file, and any file that breaks a
+rule, is read line by line from its text, so that the error names the
+line.  ``window`` relabels by first appearance through the endpoint-stream
+ordering that ``likelihood.replay`` also uses.  All exports produce
+byte-stable output for a fixed input: sorted keys, ``\\n`` newlines and
+17-significant-digit floats.  An edge log is rendered block by block with
+numpy: the decimal digits of every column are computed by array arithmetic
+into one byte buffer, and a mask drops leading zeros, unused sign slots and
+absent scenario labels, so the text matches ``"%d"`` formatting for every
+int64 without building a Python int per value.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
-from io import StringIO
 from pathlib import Path
 from typing import Sequence
 
@@ -27,7 +29,7 @@ import numpy as np
 
 from .degrees import DegreeCounts, LimitPmf
 from .estimation import EstimationResult
-from .model import EdgeLog, _end_stream
+from .model import EdgeLog, _end_stream, _stable_order
 
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
@@ -46,21 +48,27 @@ def parse_edge_file(path) -> EdgeLog:
     Every value must fit in int64; a line that breaks a rule raises
     ``ValueError`` naming the file and line number.
 
-    The whole text is decoded by one ``np.loadtxt`` call and the rules are
+    The text is read once and checked; where the check passes, one
+    ``np.loadtxt`` call decodes the file from its path and the rules are
     checked as arrays.  That fast path is taken only where it cannot differ
-    from reading line by line: outside ``%`` comment lines the text holds
-    only ASCII digits, signs, spaces, tabs and newlines, it holds at least
-    one record, and no value reaches 10**18 in magnitude.  Otherwise, or
-    when a rule fails, the file is read line by line, and the first
-    offending line is named.
+    from reading the checked text line by line: outside ``%`` comment lines
+    the text holds only ASCII digits, signs, spaces, tabs and newlines (a
+    byte-table check), it holds at least one record, no value reaches
+    10**18 in magnitude, and the file's device, inode, size and
+    modification time are the same after the decode as before the text
+    was read.  Otherwise,
+    or when a rule fails, the text is read line by line, and the first
+    offending line is named.  Unsorted timestamps are put in order by the
+    radix ordering of ``model._stable_order``.
     """
+    stamp = _stamp(path)
     text = Path(path).read_text()
-    columns = _fast_columns(text)
+    columns = _fast_columns(path, text, stamp)
     if columns is None:
         columns = _line_columns(path, text)
     time = columns[2]
     if np.any(time[1:] < time[:-1]):
-        order = np.argsort(time, kind="stable")  # ties keep input order
+        order = _stable_order(time)  # ties keep input order
         columns = [col[order] for col in columns]
     return EdgeLog.from_columns(*columns)
 
@@ -68,27 +76,49 @@ def parse_edge_file(path) -> EdgeLog:
 # A line whose first non-blank character is ``%``, up to (not including) any
 # character that ``str.splitlines`` breaks at.
 _COMMENT_LINE = re.compile(r"^[ \t]*%[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*", re.MULTILINE)
-_PLAIN_TEXT = re.compile(r"[0-9+\- \t\n]*")
-_ANY_FIELD = re.compile(r"[^ \t\n]")
+_PLAIN_BYTES = b"0123456789+- \t\n"
 _EXACT_BOUND = 10**18  # every numpy version reads smaller int64 fields exactly
+# suffixes on which np.loadtxt opens a path through a decompressor
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
-def _fast_columns(text: str) -> list[np.ndarray] | None:
-    """The file's columns decoded in one ``np.loadtxt`` call, or ``None``
-    when a rule fails or the result could differ from :func:`_line_columns`.
+def _stamp(path) -> tuple[int, int, int, int]:
+    """What changes when a file is rewritten: its device, inode, size and
+    modification time."""
+    st = os.stat(path)
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _fast_columns(path, text: str, stamp: tuple[int, int, int, int]) -> list[np.ndarray] | None:
+    """The columns of the file at ``path``, whose text ``text`` was read
+    after its :func:`_stamp` was ``stamp``, decoded in one ``np.loadtxt``
+    call; ``None`` when a rule fails or the result could differ from
+    :func:`_line_columns` on ``text``.
 
     Comment lines are cut first.  What is left may hold only ASCII digits,
-    signs, spaces, tabs and ``\\n``.  On such text ``loadtxt`` splits lines
-    and fields as ``str.splitlines`` and ``str.split`` do, and reads a field
-    exactly when ``int`` does, to the same value, except out of the int64
-    range: numpy 2 rejects such a value but numpy 1 reads it through a
-    float, so values of magnitude 10**18 or more are left to the loop."""
+    signs, spaces, tabs and ``\\n``.  Then every ``%`` starts a comment
+    line that ends at ``\\n``, so ``loadtxt(path, comments="%")``, which
+    decodes the file as ``Path.read_text`` does (the locale encoding,
+    universal newlines) and runs its C reader over the file in chunks,
+    reads exactly the checked text.  On such text ``loadtxt`` splits lines and fields as
+    ``str.splitlines`` and ``str.split`` do, and reads a field exactly
+    when ``int`` does, to the same value, except out of the int64 range:
+    numpy 2 rejects such a value but numpy 1 reads it through a float, so
+    values of magnitude 10**18 or more are left to the loop.  The file is
+    read a second time by ``loadtxt``, so its stamp is taken again after
+    the decode; if it changed, the decoded values may not be those of the
+    checked text, and the loop reads ``text`` instead."""
     data = _COMMENT_LINE.sub("", text) if "%" in text else text
-    if not _PLAIN_TEXT.fullmatch(data) or not _ANY_FIELD.search(data):
+    if not data.isascii() or data.encode("ascii").translate(None, _PLAIN_BYTES):
+        return None
+    if not data or data.isspace() or os.path.splitext(path)[1] in _COMPRESSED_SUFFIXES:
         return None
     try:
-        table = np.loadtxt(StringIO(data), dtype=np.int64, comments=None, ndmin=2)
-    except ValueError:  # a malformed field, ragged rows or an int64 overflow
+        # absolute, because np.loadtxt would fetch a relative path that parses as a URL
+        table = np.loadtxt(os.path.abspath(path), dtype=np.int64, comments="%", ndmin=2)
+        if _stamp(path) != stamp:
+            return None
+    except (OSError, ValueError):  # a malformed field, ragged rows, an int64 overflow, a gone file
         return None
     width = table.shape[1]
     if not 2 <= width <= 4 or not -_EXACT_BOUND < table.min() <= table.max() < _EXACT_BOUND:
@@ -154,7 +184,7 @@ def window(log: EdgeLog, t_start: int, t_end: int) -> tuple[EdgeLog, dict[int, i
     if not selected.any():
         raise ValueError(f"window [{t_start}, {t_end}] selects no records")
     order, ranked, group, start = _end_stream(log.source[selected], log.target[selected])
-    by_appearance = np.argsort(order[start])  # distinct ids by first stream position
+    by_appearance = _stable_order(order[start])  # distinct ids by first stream position
     new_id = np.empty(len(start), dtype=np.int64)
     new_id[by_appearance] = np.arange(1, len(start) + 1)
     ends = np.empty(len(order), dtype=np.int64)

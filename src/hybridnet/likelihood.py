@@ -264,6 +264,8 @@ def _kernel_upper_bound(stats, p, delta_in, delta_out):
     """
     env = stats._kernel_envelope
     c = np.array((p, 1.0 - p, 1.0, delta_in, delta_out))
+    # OpenBLAS keeps the 5 x B gemv c @ columns on one thread while 5 B <= 9,216,
+    # so B <= 1,843; B is about 1,300-1,700 on Table-1 logs of 10k-1M edges
     bound = float(env.weights @ np.log(c @ env.columns))
     lo = (1.0 - p) * env.r_low + min(delta_in, delta_out)
     if math.isnan(bound) or lo <= 0.0:
@@ -290,7 +292,14 @@ def _kernel_derivatives(stats, p, delta_in, delta_out):
     per-step terms are 1/num - 1/(r + delta) and (d - r)/num (gradient),
     1/(r + delta)^2 - 1/num^2, -(d - r)/num^2 and -((d - r)/num)^2 (Hessian),
     each summed over its offset's slice; no step has both offsets, so their
-    entry is exactly 0.  The log-likelihood is ``_kernel_log_likelihood``'s."""
+    entry is exactly 0.  The log-likelihood is ``_kernel_log_likelihood``'s.
+
+    The sums of products are elementwise products summed by ``.sum()``
+    (numpy's pairwise sum), not ``np.dot``: OpenBLAS runs a dot product of
+    more than 10,000 entries on its thread pool, where waking an idle
+    worker cost about 8 ms a call on a 2-vCPU machine (40 ms a pass on a
+    35k-step log, against 0.4 ms), and its result then depends in the last
+    digits on the BLAS thread count."""
     d, r, n_in, _ = stats._kernel_steps
     delta = np.empty_like(r)
     delta[:n_in], delta[n_in:] = delta_in, delta_out
@@ -306,10 +315,10 @@ def _kernel_derivatives(stats, p, delta_in, delta_out):
     grad, hess = np.empty(3), np.zeros((3, 3))
     for i, part in enumerate((slice(0, n_in), slice(n_in, None))):
         grad[i] = g_delta[part].sum()
-        hess[i, i] = -np.dot(g_delta[part], inv_den[part])
-        hess[i, 2] = hess[2, i] = -np.dot(g_p[part], inv_num[part])
+        hess[i, i] = -(g_delta[part] * inv_den[part]).sum()
+        hess[i, 2] = hess[2, i] = -(g_p[part] * inv_num[part]).sum()
     grad[2] = g_p.sum()
-    hess[2, 2] = -np.dot(g_p, g_p)
+    hess[2, 2] = -(g_p * g_p).sum()
     return _kernel_log_likelihood(stats, p, delta_in, delta_out), grad, hess
 
 

@@ -360,11 +360,38 @@ class _EndStream(NamedTuple):
     start: np.ndarray
 
 
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for an integer array, by numpy's
+    radix sort where the keys allow it.
+
+    numpy sorts 16-bit keys stably by one radix pass, where wider integers
+    get a comparison sort (timsort).  Keys whose span ``max - min`` is
+    below 2**16 are shifted by their minimum into uint16 and sorted in one
+    pass.  Spans below 2**32 are shifted into uint32 and sorted in two
+    stable passes, on the low 16 bits and then on the high 16 bits, so that
+    the second pass keeps the first pass's order among equal high halves.
+    Wider spans fall back to the comparison sort.  The span is computed
+    with Python ints, so that keys near the int64 extremes cannot overflow
+    it; the shifted keys then fit their unsigned type exactly."""
+    if not keys.size:
+        return np.argsort(keys, kind="stable")
+    low = int(keys.min())
+    span = int(keys.max()) - low
+    if span >= 1 << 32:
+        return np.argsort(keys, kind="stable")
+    if span < 1 << 16:
+        return np.argsort((keys - low).astype(np.uint16), kind="stable")
+    shifted = (keys - low).astype(np.uint32)
+    order = np.argsort(shifted.astype(np.uint16), kind="stable")  # the low halves
+    high = (shifted >> 16).astype(np.uint16)[order]
+    return order[np.argsort(high, kind="stable")]
+
+
 def _end_stream(source: np.ndarray, target: np.ndarray) -> _EndStream:
     ends = np.empty(2 * source.shape[0], dtype=np.int64)
     ends[0::2] = source
     ends[1::2] = target
-    order = np.argsort(ends, kind="stable")  # equal ids keep stream order
+    order = _stable_order(ends)  # equal ids keep stream order
     ranked = ends[order]
     head = np.ones(ranked.shape, dtype=bool)
     head[1:] = ranked[1:] != ranked[:-1]

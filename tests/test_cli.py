@@ -6,8 +6,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hybridnet import NelderMeadConfig, fit_nelder_mead, parse_edge_file, replay
+from hybridnet import (
+    EdgeLog,
+    NelderMeadConfig,
+    SimulationConfig,
+    ccdf,
+    export,
+    fit_nelder_mead,
+    parse_edge_file,
+    replay,
+    simulate,
+)
 from hybridnet.cli import main, summarize_estimates
+from hybridnet.degrees import degree_counts_from_arrays
 from hybridnet.model import HybridParams
 
 TABLE1 = ["--alpha", "0.1", "--beta", "0.8", "--p", "0.8", "--din", "1.3", "--dout", "0.7"]
@@ -328,6 +339,31 @@ class TestLargeIds:
         assert run(["ccdf", "--input", str(sparse_log), "--unseeded", "--direction", "out",
                     "--out", str(out)]) == 0
         assert out.read_text() == "m,value\n0,1\n"
+
+    @pytest.mark.parametrize("flags", [[], ["--unseeded"]])
+    def test_ccdf_matches_the_unique_ranking(self, tmp_path, flags):
+        """Ids of 2**32 and above with gaps, node 1 kept: the curves equal
+        those of degrees counted on an ``np.unique`` ranking of the ids."""
+        params = HybridParams.fill_gamma(0.1, 0.8, p=0.8, delta_in=1.3, delta_out=0.7)
+        log = simulate(SimulationConfig(params=params, n_edges=3000, seed=4)).log
+        source, target = (np.where(col == 1, 1, 2**32 + 5 * col) for col in (log.source, log.target))
+        path = tmp_path / "sparse.edges"
+        export(EdgeLog.from_columns(source, target, log.time), path)
+        if not flags:
+            source, target = np.concatenate(([1], source)), np.concatenate(([1], target))
+        ids, dense = np.unique(np.concatenate((source, target)), return_inverse=True)
+        edges = len(source)
+        counts = degree_counts_from_arrays(
+            np.bincount(dense[edges:], minlength=len(ids)),
+            np.bincount(dense[:edges], minlength=len(ids)),
+            len(ids),
+            edges,
+        )
+        for direction in ("in", "out"):
+            out, expected = tmp_path / f"{direction}.csv", tmp_path / f"expected_{direction}.csv"
+            assert run(["ccdf", "--input", str(path), "--direction", direction, *flags, "--out", str(out)]) == 0
+            export(ccdf(counts, direction), expected)
+            assert out.read_bytes() == expected.read_bytes()
 
     def test_classify_labels_and_counts(self, sparse_log, tmp_path, capsys):
         a, b, c = self.BASE + 7, self.BASE + 3, self.BASE + 11

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,6 +159,38 @@ class TestNelderMead:
         est = mle_scenarios(stats)
         assert result.point.xi == pytest.approx(est.xi, abs=1e-9)
         assert result.point.eta == pytest.approx(est.eta, abs=1e-9)
+
+
+# Fits the seed-3 10k-edge Table-1 log from FIXED_START and takes the
+# derivatives at the truth; prints the reprs of every value.
+_THREAD_COUNT_SCRIPT = """
+from hybridnet import HybridParams, NelderMeadConfig, SimulationConfig, fit_nelder_mead, replay, simulate
+from hybridnet.likelihood import _kernel_derivatives
+truth = HybridParams.fill_gamma(0.1, 0.8, p=0.8, delta_in=1.3, delta_out=0.7)
+stats = replay(simulate(SimulationConfig(params=truth, n_edges=10_000, seed=3)).log)
+start = HybridParams.fill_gamma(1 / 3, 1 / 3, p=0.5, delta_in=1.0, delta_out=1.0)
+result = fit_nelder_mead(stats, NelderMeadConfig(initial_point=start))
+ll, grad, hess = _kernel_derivatives(stats, truth.p, truth.delta_in, truth.delta_out)
+print(repr(result.point), repr(result.log_likelihood))
+print(repr(ll), repr(grad.tolist()), repr(hess.tolist()))
+"""
+
+
+def test_fit_does_not_depend_on_the_blas_thread_count():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": threads,
+            "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", ""),
+        }
+        done = subprocess.run(
+            [sys.executable, "-c", _THREAD_COUNT_SCRIPT], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
 
 
 class TestNewtonSearch:

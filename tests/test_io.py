@@ -1,4 +1,5 @@
 import json
+import os
 import warnings
 
 import numpy as np
@@ -21,7 +22,7 @@ from hybridnet import (
     simulate,
     window,
 )
-from hybridnet.io import TRACE_HEADER, _fast_columns, _line_columns
+from hybridnet.io import TRACE_HEADER, _fast_columns, _line_columns, _stamp
 from conftest import log_from_pairs, reference_write_edge_log
 
 
@@ -92,9 +93,10 @@ def _assert_columns_equal(got, expected):
 def _assert_parse_matches_loop(path):
     """``parse_edge_file`` equals the per-line loop (columns, stably sorted by
     time, or the identical error), and so does the fast path where taken."""
+    stamp = _stamp(path)
     text = path.read_text()
     expected = _line_outcome(path, text)
-    fast = _fast_columns(text)
+    fast = _fast_columns(path, text, stamp)
     if fast is not None:
         assert not isinstance(expected, str), expected
         _assert_columns_equal(fast, expected)
@@ -195,6 +197,42 @@ class TestFastParse:
         path = tmp_path / "e.txt"
         path.write_bytes(text.encode("utf-8"))
         assert not _assert_parse_matches_loop(path)
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_compressed_suffixes_go_to_the_loop(self, tmp_path, suffix):
+        # np.loadtxt would open such a path through a decompressor
+        path = tmp_path / f"e{suffix}"
+        path.write_text("1 2 3\n4 5 6\n")
+        assert not _assert_parse_matches_loop(path)
+
+    @pytest.mark.parametrize("new_text", ["7 8 9\n7 8 9\n7 8 9\n", "7 8 9\n1 1 1\n"])
+    def test_file_changed_after_its_text_was_read(self, tmp_path, monkeypatch, new_text):
+        """The values are those of the text that was read and checked, when
+        the file grows or is rewritten at its size before the decode."""
+        path = tmp_path / "e.txt"
+        path.write_text("1 2 3\n4 5 6\n")
+        stamp = _stamp(path)
+        loadtxt = np.loadtxt
+
+        def rewrite_then_load(*args, **kwargs):
+            path.write_text(new_text)
+            mtime = stamp[3] + 10**9  # a rewrite at the same size within one clock tick is not seen
+            os.utime(path, ns=(mtime, mtime))
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", rewrite_then_load)
+        assert parse_edge_file(path).records == [EdgeRecord(1, 2, 3), EdgeRecord(4, 5, 6)]
+
+    def test_unsorted_unix_times_sort_stably(self, tmp_path):
+        rng = np.random.default_rng(11)
+        times = rng.integers(1_600_000_000, 1_600_000_000 + 2**20, 5000) // 64 * 64  # heavy ties
+        source, target = rng.integers(1, 100, (2, 5000))
+        path = tmp_path / "e.txt"
+        path.write_text("".join(f"{s} {t} {tm}\n" for s, t, tm in zip(source, target, times)))
+        log = parse_edge_file(path)
+        order = np.argsort(times, kind="stable")
+        assert np.array_equal(log.time, times[order])
+        assert np.array_equal(log.source, source[order]) and np.array_equal(log.target, target[order])
 
     @pytest.mark.parametrize("text", ["", "\n", "% only a comment\n", " \t\n%a\n  %b\n"])
     def test_no_records_raise_without_warning(self, tmp_path, text):

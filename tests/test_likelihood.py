@@ -90,6 +90,15 @@ class TestReplayOracle:
         for seeded in (True, False):
             _assert_same_replay(shuffled, seeded)
 
+    @pytest.mark.parametrize("shift", [0, 2**16, 2**32])
+    def test_ids_across_the_ordering_spans(self, theta, shift):
+        # even ids shifted: the endpoint ordering takes its one-pass radix
+        # path, its two-pass radix path, and its comparison-sort fallback
+        log = simulate(SimulationConfig(params=theta, n_edges=2000, seed=6, log_scenarios=False)).log
+        source, target = (col + shift * (col % 2 == 0) for col in (log.source, log.target))
+        for seeded in (True, False):
+            _assert_same_replay(EdgeLog.from_columns(source, target, log.time), seeded)
+
     def test_node_one_never_appears(self):
         log = log_from_pairs([(2, 3), (3, 3), (4, 2), (2, 5), (6, 6)])
         for seeded in (True, False):

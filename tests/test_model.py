@@ -3,7 +3,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hybridnet import (
@@ -18,6 +18,7 @@ from hybridnet import (
     derived_constants,
     step_distribution,
 )
+from hybridnet.model import _stable_order
 from conftest import small_simulated_state, state_from_records
 
 
@@ -260,3 +261,31 @@ class TestEdgeLog:
     def test_pickle_round_trip(self):
         log = EdgeLog([EdgeRecord(3, 1, 5, 1), EdgeRecord(1, 1, 6)])
         assert pickle.loads(pickle.dumps(log)) == log
+
+
+# key spans that take the one-pass radix ordering, the two-pass one and the fallback
+_SPAN_CLASSES = [(0, 2**16 - 1), (2**16, 2**32 - 1), (2**32, 2**64 - 1)]
+
+
+@st.composite
+def _int64_keys(draw):
+    """int64 arrays with heavy ties, their span drawn from one class, at
+    either int64 extreme or anywhere between."""
+    lowest, highest = draw(st.sampled_from(_SPAN_CLASSES))
+    span = draw(st.integers(lowest, highest))
+    top = 2**63 - 1 - span  # the greatest minimum the span leaves room for
+    low = draw(st.one_of(st.just(-(2**63)), st.just(top), st.integers(-(2**63), top)))
+    pool = [low, low + span, *draw(st.lists(st.integers(low, low + span), max_size=6))]
+    return np.array(draw(st.lists(st.sampled_from(pool), max_size=300)), dtype=np.int64)
+
+
+class TestStableOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(keys=_int64_keys())
+    @example(keys=np.array([], dtype=np.int64))
+    @example(keys=np.array([-(2**63)], dtype=np.int64))
+    @example(keys=np.array([2**63 - 1, -(2**63), 2**63 - 1], dtype=np.int64))
+    def test_equals_stable_argsort(self, keys):
+        order = _stable_order(keys)
+        expected = np.argsort(keys, kind="stable")
+        assert order.dtype == expected.dtype and np.array_equal(order, expected)
