@@ -47,8 +47,8 @@ def main(argv=None):
 
     config = SimulationConfig(params=params, n_edges=args.n, seed=args.seed, log_scenarios=False)
     outputs = simulate_replicates(config, args.replicates, worker_count=args.workers)
-    for k, (state, _, _) in enumerate(outputs):
-        counts = degree_counts(state)
+    for k, replicate in enumerate(outputs):
+        counts = degree_counts(replicate.state)
         for direction in ("in", "out"):
             export(ccdf(counts, direction), out / f"tail_{direction}_rep{k}.csv")
 

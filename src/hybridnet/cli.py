@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,13 @@ import numpy as np
 from . import __version__
 from .degrees import ccdf, degree_counts_from_arrays, limit_pmf
 from .estimation import FIT_METHODS, MhConfig, NelderMeadConfig, fit
-from .generator import SimulationConfig, replicate_seeds, simulate_replicates
+from .generator import (
+    SimulationConfig,
+    _map_replicates,
+    replicate_seeds,
+    simulate,
+    simulate_replicates,
+)
 from .io import export, parse_edge_file
 from .likelihood import replay
 from .model import EdgeLog, HybridParams, _end_stream, classify_edge_log
@@ -77,9 +84,9 @@ def cmd_simulate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = simulate_replicates(config, args.replicates, worker_count=args.workers)
     files = []
-    for idx, (state, log, _) in enumerate(outputs):
+    for idx, out in enumerate(outputs):
         name = f"replicate_{idx:03d}.edges"
-        export(log, out_dir / name)
+        export(out.log, out_dir / name)
         files.append(name)
     manifest = {
         "command": "simulate",
@@ -195,32 +202,54 @@ def summarize_estimates(estimates, truth: HybridParams) -> list[dict]:
     return rows
 
 
-def cmd_table(args) -> int:
-    methods = args.methods.split(",")
+def _fit_replicate(config: SimulationConfig, mh_config: MhConfig, methods) -> list[HybridParams]:
+    """Simulate, replay and fit one replicate: its point under each method."""
+    stats = replay(simulate(config).log)
+    nm_config = NelderMeadConfig(initial_point=FIXED_START)
+    return [fit(stats, method, mh_config, nm_config).point for method in methods]
+
+
+def replicate_estimates(config, r, methods, burn_in, iterations, thinning, worker_count=1):
+    """The replicate study: ``{method: [point of replicate idx, ...]}``.
+
+    Replicate ``idx`` is ``config`` under its derived seed, fitted from
+    ``FIXED_START`` with sampler seed ``sampler_seed(config.seed, idx)``.
+    With ``worker_count`` above 1, whole replicates (simulation, replay and
+    every fit) run in a process pool and only the points come back.
+    """
     unknown = [method for method in methods if method not in FIT_METHODS]
     if unknown:
         raise ValueError(f"unknown method {unknown[0]!r}")
+    mh_configs = [
+        MhConfig(burn_in, iterations, thinning, seed=sampler_seed(config.seed, idx)) for idx in range(r)
+    ]
+    work = partial(_fit_replicate, methods=tuple(methods))
+    points = _map_replicates(work, config, r, worker_count, mh_configs)
+    return {method: [fits[k] for fits in points] for k, method in enumerate(methods)}
+
+
+SUMMARY_HEADER = "method,parameter,truth,mean_estimate,abs_bias_pct,sd,se_mean"
+
+
+def summary_lines(method: str, estimates, truth: HybridParams) -> list[str]:
+    """One CSV line per parameter (columns of ``SUMMARY_HEADER``)."""
+    return [
+        f"{method},{row['parameter']},{row['truth']:.17g},{row['mean_estimate']:.17g},"
+        f"{row['abs_bias_pct']:.17g},{row['sd']:.17g},{row['se_mean']:.17g}"
+        for row in summarize_estimates(estimates, truth)
+    ]
+
+
+def cmd_table(args) -> int:
+    methods = args.methods.split(",")
     params = _params_from_args(args)
     config = SimulationConfig(params=params, n_edges=args.n, seed=args.seed)
-    outputs = simulate_replicates(config, args.replicates, worker_count=args.workers)
-    all_stats = [replay(out.log) for out in outputs]
-    nm_config = NelderMeadConfig(initial_point=FIXED_START)
-    lines = ["method,parameter,truth,mean_estimate,abs_bias_pct,sd,se_mean"]
+    estimates = replicate_estimates(
+        config, args.replicates, methods, args.burn_in, args.iterations, args.thinning, args.workers
+    )
+    lines = [SUMMARY_HEADER]
     for method in methods:
-        estimates = []
-        for idx, stats in enumerate(all_stats):
-            mh_config = MhConfig(
-                burn_in=args.burn_in,
-                iterations=args.iterations,
-                thinning=args.thinning,
-                seed=sampler_seed(args.seed, idx),
-            )
-            estimates.append(fit(stats, method, mh_config, nm_config).point)
-        for row in summarize_estimates(estimates, params):
-            lines.append(
-                f"{method},{row['parameter']},{row['truth']:.17g},{row['mean_estimate']:.17g},"
-                f"{row['abs_bias_pct']:.17g},{row['sd']:.17g},{row['se_mean']:.17g}"
-            )
+        lines += summary_lines(method, estimates[method], params)
     Path(args.out).write_text("\n".join(lines) + "\n")
     print(f"wrote {args.out} ({args.replicates} replicates, methods: {args.methods})")
     return EXIT_OK

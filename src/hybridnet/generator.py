@@ -15,11 +15,10 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-from .degrees import DegreeCounts, degree_counts_from_arrays
 from .model import EdgeLog, HybridParams, NetworkState
 
 # Uniforms one step consumes at most: the scenario draw plus two endpoint
@@ -34,29 +33,21 @@ _NEW_NODES = np.array([0, 1, 0, 1, 1, 2], dtype=np.int64)
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Settings for one run: parameters, length, seed and optional snapshots."""
+    """Settings for one run: parameters, length, seed and scenario labels."""
 
     params: HybridParams
     n_edges: int
     seed: int = 0
     log_scenarios: bool = True
-    snapshot_steps: Sequence[int] | None = None
 
     def __post_init__(self):
         if self.n_edges < 1:
             raise ValueError(f"n_edges must be >= 1, got {self.n_edges}")
-        if self.snapshot_steps is not None:
-            steps = list(self.snapshot_steps)
-            if steps != sorted(steps):
-                raise ValueError("snapshot_steps must be sorted")
-            if steps and not (1 <= steps[0] and steps[-1] <= self.n_edges):
-                raise ValueError("snapshot_steps must lie within [1, n_edges]")
 
 
 class SimulationOutput(NamedTuple):
     state: NetworkState
     log: EdgeLog
-    snapshots: list[DegreeCounts]
 
 
 def simulate(config: SimulationConfig) -> SimulationOutput:
@@ -150,8 +141,7 @@ def simulate(config: SimulationConfig) -> SimulationOutput:
     )
     time = np.arange(1, n + 1, dtype=np.int64)
     log = EdgeLog.from_columns(source, target, time, sc if config.log_scenarios else None)
-    snapshots = _snapshots(source, target, nodes_after, config.snapshot_steps or ())
-    return SimulationOutput(state, log, snapshots)
+    return SimulationOutput(state, log)
 
 
 def _walk(step_len: bytes, n: int) -> list[int]:
@@ -199,24 +189,6 @@ def _resolve(value: np.ndarray, pointer: np.ndarray) -> np.ndarray:
     return value[1:]
 
 
-def _snapshots(source, target, nodes_after, steps) -> list[DegreeCounts]:
-    """Degree histograms after each listed step, by incremental bincounts."""
-    in_degree = np.zeros(int(nodes_after[-1]) + 1, dtype=np.int64)
-    out_degree = np.zeros_like(in_degree)
-    in_degree[1] = out_degree[1] = 1  # the seed self-loop
-    done = 0
-    snapshots = []
-    for k in steps:
-        size = int(nodes_after[k - 1]) + 1
-        in_degree[:size] += np.bincount(target[done:k], minlength=size)
-        out_degree[:size] += np.bincount(source[done:k], minlength=size)
-        done = k
-        snapshots.append(
-            degree_counts_from_arrays(in_degree[1:size], out_degree[1:size], size - 1, k + 1)
-        )
-    return snapshots
-
-
 def replicate_seeds(master_seed: int, r: int) -> list[int]:
     """Derive ``r`` independent 128-bit child seeds from a master seed."""
     children = np.random.SeedSequence(master_seed).spawn(r)
@@ -231,11 +203,20 @@ def simulate_replicates(
     Output order is replicate order regardless of scheduling, and results
     are bit-identical for any ``worker_count``.
     """
+    return _map_replicates(simulate, config, r, worker_count)
+
+
+def _map_replicates(fn, config: SimulationConfig, r: int, worker_count: int, *per_replicate) -> list:
+    """``[fn(config_k, *args_k) for k in range(r)]``: ``config_k`` is ``config``
+    under the ``k``-th derived seed and ``args_k`` the ``k``-th items of
+    ``per_replicate``.  One worker runs them in this process, more in a pool."""
     if r < 1:
         raise ValueError(f"replicate count must be >= 1, got {r}")
+    if worker_count < 1:
+        raise ValueError(f"worker count must be >= 1, got {worker_count}")
     configs = [replace(config, seed=s) for s in replicate_seeds(config.seed, r)]
-    if worker_count <= 1:
-        return [simulate(c) for c in configs]
+    if worker_count == 1:
+        return list(map(fn, configs, *per_replicate))
     chunk = max(1, r // (4 * worker_count))
     with ProcessPoolExecutor(max_workers=worker_count) as pool:
-        return list(pool.map(simulate, configs, chunksize=chunk))
+        return list(pool.map(fn, configs, *per_replicate, chunksize=chunk))

@@ -16,7 +16,6 @@ from hybridnet import (
     simulate,
     step_distribution,
 )
-from hybridnet.degrees import degree_counts_from_arrays
 from hybridnet.estimation import EstimationResult, _params_from_components, _scenario_block
 from hybridnet.likelihood import _kernel_log_likelihood, log_likelihood
 
@@ -70,7 +69,7 @@ def log_from_pairs(pairs, scenarios=None):
 
 
 def small_simulated_state(params, n_edges, seed):
-    state, log, _ = simulate(SimulationConfig(params=params, n_edges=n_edges, seed=seed))
+    state, log = simulate(SimulationConfig(params=params, n_edges=n_edges, seed=seed))
     return state, log
 
 
@@ -172,9 +171,6 @@ def reference_simulate(config):
     nodes = 1
     mass = 1  # edges currently in the graph
     records = []
-    snapshots = []
-    snap_steps = list(config.snapshot_steps or ())
-    snap_pos = 0
 
     def draw_in() -> int:
         if u() < p:
@@ -234,9 +230,6 @@ def reference_simulate(config):
         out_sources.append(src)
         mass += 1
         records.append(EdgeRecord(src, tgt, k, sc if label else None))
-        if snap_pos < len(snap_steps) and k == snap_steps[snap_pos]:
-            snapshots.append(degree_counts_from_arrays(in_degree, out_degree, nodes, mass))
-            snap_pos += 1
 
     state = NetworkState(
         node_count=nodes,
@@ -245,7 +238,7 @@ def reference_simulate(config):
         out_degree=out_degree,
         creation_step=creation,
     )
-    return SimulationOutput(state, EdgeLog(records), snapshots)
+    return SimulationOutput(state, EdgeLog(records))
 
 
 def reference_write_edge_log(log, path, block_rows=1 << 16):

@@ -127,7 +127,7 @@ def test_criterion_03_limit_pmf_convergence():
     errs_out = np.zeros(11)
     seeds = replicate_seeds(424242, 10)
     for seed in seeds:
-        state, _, _ = simulate(SimulationConfig(params=th, n_edges=n, seed=seed, log_scenarios=False))
+        state, _ = simulate(SimulationConfig(params=th, n_edges=n, seed=seed, log_scenarios=False))
         counts = degree_counts(state)
         emp_in = np.array([counts.in_counts.get(m, 0) / n for m in range(11)])
         emp_out = np.array([counts.out_counts.get(m, 0) / n for m in range(11)])
@@ -167,7 +167,7 @@ def test_criterion_05_generator_micro_exactness():
     runs = 100_000
     counts = Counter()
     for seed in range(runs):
-        _, log, _ = simulate(SimulationConfig(params=th, n_edges=2, seed=seed, log_scenarios=False))
+        _, log = simulate(SimulationConfig(params=th, n_edges=2, seed=seed, log_scenarios=False))
         counts[tuple((r.source, r.target) for r in log)] += 1
     tv = 0.5 * sum(abs(counts.get(h, 0) / runs - p) for h, p in exact.items())
     tv += 0.5 * sum(c / runs for h, c in counts.items() if h not in exact)
@@ -187,7 +187,7 @@ def test_criterion_06_score_vs_finite_differences():
             alpha, beta, p=rng.uniform(0.2, 0.95),
             delta_in=rng.uniform(0.3, 2.5), delta_out=rng.uniform(0.3, 2.5),
         )
-        _, log, _ = simulate(
+        _, log = simulate(
             SimulationConfig(params=sim_theta, n_edges=200, seed=int(rng.integers(2**31)))
         )
         stats = replay(log)
@@ -214,7 +214,7 @@ def test_criterion_07_scenario_round_trip():
     th = HybridParams.fill_gamma(0.1, 0.7, p=0.8, delta_in=1.3, delta_out=0.7, xi=0.05, eta=0.05)
     mismatches = 0
     for seed in replicate_seeds(777, 10):
-        _, log, _ = simulate(SimulationConfig(params=th, n_edges=10_000, seed=seed))
+        _, log = simulate(SimulationConfig(params=th, n_edges=10_000, seed=seed))
         relabeled = classify_edge_log(log)
         mismatches += sum(1 for rec, sc in zip(log, relabeled) if rec.scenario != sc)
     _check(7, "scenario classification reproduces generator labels exactly",
@@ -222,7 +222,7 @@ def test_criterion_07_scenario_round_trip():
 
 
 def _node1_trajectories(seed):
-    _, log, _ = simulate(
+    _, log = simulate(
         SimulationConfig(params=TABLE1, n_edges=GROWTH_CHECKPOINTS[-1], seed=seed, log_scenarios=False)
     )
     d_in, d_out = 1, 1
@@ -277,7 +277,7 @@ def test_criterion_09_conservation_invariants():
     ]
     ok = True
     for th, n, seed in settings:
-        state, log, _ = simulate(SimulationConfig(params=th, n_edges=n, seed=seed))
+        state, log = simulate(SimulationConfig(params=th, n_edges=n, seed=seed))
         state.check_consistency()
         counts = degree_counts(state)
         edge_mass_in = sum(m * c for m, c in counts.in_counts.items())
@@ -299,7 +299,7 @@ def test_criterion_10_extended_model_recovery():
     ok = True
     details = []
     for label, truth, seed in settings:
-        _, log, _ = simulate(SimulationConfig(params=truth, n_edges=n, seed=seed))
+        _, log = simulate(SimulationConfig(params=truth, n_edges=n, seed=seed))
         stats = replay(log)
         start = HybridParams.fill_gamma(
             0.23, 0.23, p=0.5, delta_in=1.0, delta_out=1.0, xi=0.1, eta=0.1

@@ -8,16 +8,19 @@ import pytest
 
 from hybridnet import (
     EdgeLog,
+    MhConfig,
     NelderMeadConfig,
     SimulationConfig,
     ccdf,
     export,
+    fit,
     fit_nelder_mead,
     parse_edge_file,
     replay,
     simulate,
+    simulate_replicates,
 )
-from hybridnet.cli import main, summarize_estimates
+from hybridnet.cli import FIXED_START, main, sampler_seed, summarize_estimates
 from hybridnet.degrees import degree_counts_from_arrays
 from hybridnet.model import HybridParams
 
@@ -230,16 +233,48 @@ class TestTableCommand:
         assert float(by_name["alpha"]["truth"]) == 0.1
         assert float(by_name["p"]["sd"]) >= 0.0
 
+    def test_parallel_table_matches_serial_loop(self, tmp_path):
+        """Whole replicates in a 2-worker pool give the bytes of the plain
+        loop: simulate all, then replay and fit each, method by method."""
+        out = tmp_path / "table.csv"
+        chain = ["--burn-in", "200", "--iterations", "400", "--thinning", "20"]
+        code = run(["table", *TABLE1, "--n", "1500", "--replicates", "3", "--seed", "5",
+                    "--methods", "nm,integrated", *chain, "--workers", "2", "--out", str(out)])
+        assert code == 0
+        truth = HybridParams.fill_gamma(0.1, 0.8, p=0.8, delta_in=1.3, delta_out=0.7)
+        config = SimulationConfig(params=truth, n_edges=1500, seed=5)
+        all_stats = [replay(o.log) for o in simulate_replicates(config, 3, worker_count=1)]
+        nm_config = NelderMeadConfig(initial_point=FIXED_START)
+        lines = ["method,parameter,truth,mean_estimate,abs_bias_pct,sd,se_mean"]
+        for method in ("nm", "integrated"):
+            estimates = []
+            for idx, stats in enumerate(all_stats):
+                mh_config = MhConfig(burn_in=200, iterations=400, thinning=20, seed=sampler_seed(5, idx))
+                estimates.append(fit(stats, method, mh_config, nm_config).point)
+            lines += [
+                f"{method},{r['parameter']},{r['truth']:.17g},{r['mean_estimate']:.17g},"
+                f"{r['abs_bias_pct']:.17g},{r['sd']:.17g},{r['se_mean']:.17g}"
+                for r in summarize_estimates(estimates, truth)
+            ]
+        assert out.read_text() == "\n".join(lines) + "\n"
+
     def test_unknown_method_fails_before_simulating(self, tmp_path, monkeypatch):
         import hybridnet.cli as cli
 
         def no_simulation(*args, **kwargs):
             raise AssertionError("simulated before validating --methods")
 
-        monkeypatch.setattr(cli, "simulate_replicates", no_simulation)
+        monkeypatch.setattr(cli, "simulate", no_simulation)
         code = run(["table", *TABLE1, "--n", "100", "--replicates", "2",
                     "--methods", "nm,bogus", "--out", str(tmp_path / "t.csv")])
         assert code == 2
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_workers_below_one_rejected(self, tmp_path, capsys):
+        code = run(["table", *TABLE1, "--n", "100", "--replicates", "2",
+                    "--workers", "0", "--out", str(tmp_path / "t.csv")])
+        assert code == 2
+        assert "worker count" in capsys.readouterr().err
         assert not (tmp_path / "t.csv").exists()
 
     def test_bias_definition(self):

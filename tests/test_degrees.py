@@ -39,7 +39,7 @@ class TestDegreeCounts:
         assert counts.n_nodes == 3 and counts.n_edges == 4
 
     def test_edge_conservation_on_simulation(self, table1_params):
-        state, _, _ = simulate(SimulationConfig(params=table1_params, n_edges=10_000, seed=4))
+        state, _ = simulate(SimulationConfig(params=table1_params, n_edges=10_000, seed=4))
         counts = degree_counts(state)
         assert sum(m * c for m, c in counts.in_counts.items()) == 10_001
         assert sum(m * c for m, c in counts.out_counts.items()) == 10_001
@@ -55,14 +55,14 @@ class TestCcdf:
         assert ccdf(degree_counts(NetworkState.seed()), "in") == [(0, 1.0)]
 
     def test_positive_and_nonincreasing(self, table1_params):
-        state, _, _ = simulate(SimulationConfig(params=table1_params, n_edges=5000, seed=8))
+        state, _ = simulate(SimulationConfig(params=table1_params, n_edges=5000, seed=8))
         curve = ccdf(degree_counts(state), "out")
         values = [v for _, v in curve]
         assert all(v > 0 for v in values)
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_matches_sort_oracle(self, table1_params):
-        state, _, _ = simulate(SimulationConfig(params=table1_params, n_edges=2000, seed=15))
+        state, _ = simulate(SimulationConfig(params=table1_params, n_edges=2000, seed=15))
         counts = degree_counts(state)
         degrees = np.sort(np.array(state.in_degree))
         for m, value in ccdf(counts, "in"):
@@ -70,7 +70,7 @@ class TestCcdf:
             assert value == pytest.approx(expected, abs=1e-15)
 
     def test_counts_partial_sum_complement(self, table1_params):
-        state, _, _ = simulate(SimulationConfig(params=table1_params, n_edges=500, seed=2))
+        state, _ = simulate(SimulationConfig(params=table1_params, n_edges=500, seed=2))
         counts = degree_counts(state)
         curve = dict(ccdf(counts, "in"))
         for m, tail in curve.items():
@@ -164,7 +164,7 @@ class TestLimitPmf:
         # asymmetric scenario probabilities separate the two weight layouts:
         # nodes born by the new-target scenario start with out-degree 0
         th = HybridParams.fill_gamma(0.2, 0.1, p=0.6, delta_in=1.3, delta_out=0.7)
-        state, _, _ = simulate(SimulationConfig(params=th, n_edges=150_000, seed=33))
+        state, _ = simulate(SimulationConfig(params=th, n_edges=150_000, seed=33))
         counts = degree_counts(state)
         emp = np.array([counts.out_counts.get(m, 0) / 150_000 for m in range(6)])
         pmf = limit_pmf(th, m_max=10)
@@ -183,7 +183,7 @@ class TestLimitPmf:
         for n in (10_000, 100_000):
             errs = []
             for seed in range(5):
-                state, _, _ = simulate(SimulationConfig(params=th, n_edges=n, seed=100 + seed))
+                state, _ = simulate(SimulationConfig(params=th, n_edges=n, seed=100 + seed))
                 counts = degree_counts(state)
                 emp = np.array([counts.in_counts.get(m, 0) / n for m in range(11)])
                 errs.append(np.abs(emp - pmf.psi_in[:11]).max())

@@ -68,7 +68,7 @@ def grid_start(p, delta):
 @pytest.fixture(scope="module")
 def sim_stats():
     th = HybridParams.fill_gamma(0.1, 0.8, p=0.8, delta_in=1.3, delta_out=0.7)
-    _, log, _ = simulate(SimulationConfig(params=th, n_edges=2000, seed=123))
+    _, log = simulate(SimulationConfig(params=th, n_edges=2000, seed=123))
     return th, replay(log)
 
 
@@ -135,7 +135,7 @@ class TestNelderMead:
         wins = 0
         reps = 20
         for seed in range(reps):
-            _, log, _ = simulate(SimulationConfig(params=th, n_edges=2000, seed=500 + seed))
+            _, log = simulate(SimulationConfig(params=th, n_edges=2000, seed=500 + seed))
             stats = replay(log)
             result = fit_nelder_mead(stats, NelderMeadConfig(initial_point=FIXED_START))
             if result.log_likelihood >= log_likelihood(stats, th):
@@ -152,7 +152,7 @@ class TestNelderMead:
 
     def test_extended_model_supported(self):
         th = HybridParams.fill_gamma(0.1, 0.6, p=0.8, delta_in=1.0, delta_out=1.0, xi=0.1, eta=0.1)
-        _, log, _ = simulate(SimulationConfig(params=th, n_edges=3000, seed=9))
+        _, log = simulate(SimulationConfig(params=th, n_edges=3000, seed=9))
         stats = replay(log)
         start = HybridParams.fill_gamma(0.25, 0.25, p=0.5, delta_in=1.0, delta_out=1.0, xi=0.1, eta=0.1)
         result = fit_nelder_mead(stats, NelderMeadConfig(initial_point=start))
@@ -404,7 +404,7 @@ class TestFactorisedSampler:
                     assert values == {0.0}, name
 
     def test_posterior_means_match_quadrature(self):
-        _, log, _ = simulate(SimulationConfig(params=TABLE1, n_edges=300, seed=11))
+        _, log = simulate(SimulationConfig(params=TABLE1, n_edges=300, seed=11))
         stats = replay(log)
         delta_max = 5.0
         result = fit_mh(
@@ -438,7 +438,7 @@ class TestFactorisedSampler:
             assert getattr(result.point, name) == pytest.approx(chain.mean(), rel=1e-12)
 
     def test_kernel_ess_floor_on_table1(self):
-        _, log, _ = simulate(SimulationConfig(params=TABLE1, n_edges=10_000, seed=1))
+        _, log = simulate(SimulationConfig(params=TABLE1, n_edges=10_000, seed=1))
         result = fit_mh(
             replay(log), MhConfig(burn_in=10_000, iterations=20_000, thinning=1, seed=3)
         )

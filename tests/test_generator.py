@@ -27,46 +27,31 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="regularity"):
             HybridParams(alpha=0.0, beta=1.0, gamma=0.0, p=0.5, delta_in=1.0, delta_out=1.0)
 
-    def test_snapshot_steps_sorted_and_in_range(self, base_params):
-        with pytest.raises(ValueError, match="sorted"):
-            SimulationConfig(params=base_params, n_edges=10, snapshot_steps=[5, 2])
-        with pytest.raises(ValueError, match="within"):
-            SimulationConfig(params=base_params, n_edges=10, snapshot_steps=[4, 11])
-
 
 class TestSimulate:
     def test_degenerate_fresh_node_model(self):
         th = HybridParams(alpha=0, beta=0, gamma=0, xi=1.0, eta=0, p=0.5, delta_in=1, delta_out=1)
-        state, log, _ = simulate(SimulationConfig(params=th, n_edges=200, seed=3))
+        state, log = simulate(SimulationConfig(params=th, n_edges=200, seed=3))
         assert state.node_count == 1 + 200
         assert all(rec.source == rec.target and rec.scenario == 4 for rec in log)
         assert all(rec.source > 1 for rec in log)  # every self-loop sits on a fresh node
 
     def test_node_count_concentrates(self, base_params):
-        state, _, _ = simulate(SimulationConfig(params=base_params, n_edges=10_000, seed=5))
+        state, _ = simulate(SimulationConfig(params=base_params, n_edges=10_000, seed=5))
         assert abs(state.node_count / 10_000 - (1 - base_params.beta)) < 0.02
 
     def test_degree_mass_after_every_step(self, base_params):
-        n = 300
-        config = SimulationConfig(
-            params=base_params, n_edges=n, seed=9, snapshot_steps=list(range(1, n + 1))
-        )
-        state, log, snaps = simulate(config)
+        state, _ = simulate(SimulationConfig(params=base_params, n_edges=300, seed=9))
         state.check_consistency()
-        assert len(snaps) == n
-        for k, counts in enumerate(snaps, start=1):
-            assert sum(m * c for m, c in counts.in_counts.items()) == k + 1
-            assert sum(m * c for m, c in counts.out_counts.items()) == k + 1
-            assert sum(counts.in_counts.values()) == counts.n_nodes
 
     def test_scenario_frequency_matches_alpha(self, base_params):
-        _, log, _ = simulate(SimulationConfig(params=base_params, n_edges=10_000, seed=21))
+        _, log = simulate(SimulationConfig(params=base_params, n_edges=10_000, seed=21))
         n1 = sum(1 for rec in log if rec.scenario == 1)
         sd = math.sqrt(base_params.alpha * (1 - base_params.alpha) / 10_000)
         assert abs(n1 / 10_000 - base_params.alpha) < 3 * sd
 
     def test_log_excludes_seed_and_counts_match(self, base_params):
-        state, log, _ = simulate(SimulationConfig(params=base_params, n_edges=50, seed=1))
+        state, log = simulate(SimulationConfig(params=base_params, n_edges=50, seed=1))
         assert len(log) == 50
         assert state.step + 1 == 51
         by_scenario = Counter(rec.scenario for rec in log)
@@ -74,7 +59,7 @@ class TestSimulate:
         assert state.node_count == 1 + new_nodes
 
     def test_scenario_labels_optional(self, base_params):
-        _, log, _ = simulate(
+        _, log = simulate(
             SimulationConfig(params=base_params, n_edges=20, seed=1, log_scenarios=False)
         )
         assert all(rec.scenario is None for rec in log)
@@ -86,7 +71,7 @@ class TestSimulate:
         runs = 20_000
         counts = Counter()
         for seed in range(runs):
-            _, log, _ = simulate(SimulationConfig(params=th, n_edges=2, seed=seed))
+            _, log = simulate(SimulationConfig(params=th, n_edges=2, seed=seed))
             counts[tuple((r.source, r.target) for r in log)] += 1
         tv = 0.5 * sum(
             abs(counts.get(h, 0) / runs - p) for h, p in exact.items()
@@ -126,12 +111,11 @@ def _assert_same_run(config):
     fast, slow = simulate(config), reference_simulate(config)
     assert fast.state == slow.state
     assert fast.log.records == slow.log.records
-    assert fast.snapshots == slow.snapshots
 
 
 class TestStreamExactness:
     """``simulate`` consumes the PCG64 stream exactly like the step-by-step
-    reference loop, so every seed gives the same state, log and snapshots."""
+    reference loop, so every seed gives the same state and log."""
 
     @pytest.mark.parametrize("name", sorted(ORACLE_SETTINGS))
     def test_matches_reference_loop(self, name):
@@ -143,7 +127,6 @@ class TestStreamExactness:
                     n_edges=n,
                     seed=seed,
                     log_scenarios=seed % 2 == 0,
-                    snapshot_steps=sorted({1, (n + 1) // 2, n}),
                 )
                 _assert_same_run(config)
 
@@ -152,6 +135,5 @@ class TestStreamExactness:
             params=ORACLE_SETTINGS["node_heavy"],
             n_edges=120_000,
             seed=2**100 + 7,
-            snapshot_steps=[50_000, 120_000],
         )
         _assert_same_run(config)

@@ -150,13 +150,17 @@ def _edge_texts(draw):
     return ending.join(lines) + draw(st.sampled_from(["", ending]))
 
 
-@pytest.mark.filterwarnings("error")
 @settings(max_examples=400, deadline=None)
 @given(text=_edge_texts())
 def test_fast_parse_matches_line_loop_property(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("parse") / "e.txt"
     path.write_bytes(text.encode("utf-8"))
-    _assert_parse_matches_loop(path)
+    # every warning of the parser is an error; a test-level filter would also
+    # turn the warnings of hypothesis's own report hook into errors and hide
+    # the failing example behind an internal error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_parse_matches_loop(path)
 
 
 class TestFastParse:
@@ -254,7 +258,7 @@ class TestWindow:
 
     def test_matches_first_appearance_loop(self):
         th = HybridParams.fill_gamma(0.3, 0.4, p=0.6, delta_in=1.0, delta_out=1.0, xi=0.1, eta=0.1)
-        _, log, _ = simulate(SimulationConfig(params=th, n_edges=3000, seed=12))
+        _, log = simulate(SimulationConfig(params=th, n_edges=3000, seed=12))
         sparse = 10**12 + np.random.default_rng(4).permutation(10**4) * 7919
         log = EdgeLog.from_columns(sparse[log.source], sparse[log.target], log.time)
         windowed, mapping = window(log, 1000, 2000)
@@ -284,14 +288,14 @@ class TestWindow:
 
     def test_stale_scenario_labels_dropped(self):
         th = HybridParams.fill_gamma(0.3, 0.4, p=0.6, delta_in=1.0, delta_out=1.0)
-        _, log, _ = simulate(SimulationConfig(params=th, n_edges=100, seed=19))
+        _, log = simulate(SimulationConfig(params=th, n_edges=100, seed=19))
         windowed, _ = window(log, 50, 100)
         assert all(rec.scenario is None for rec in windowed)
         replay(windowed, seeded=False)  # must not trip label validation
 
     def test_relabeling_preserves_likelihood(self):
         th = HybridParams.fill_gamma(0.2, 0.3, p=0.6, delta_in=1.0, delta_out=0.8)
-        _, log, _ = simulate(SimulationConfig(params=th, n_edges=300, seed=77))
+        _, log = simulate(SimulationConfig(params=th, n_edges=300, seed=77))
         bare = EdgeLog([r._replace(scenario=None) for r in log])
         rng = np.random.default_rng(3)
         ids = sorted({n for r in bare for n in (r.source, r.target)})
@@ -307,7 +311,7 @@ class TestWindow:
 class TestExport:
     def test_edge_log_round_trip(self, tmp_path):
         th = HybridParams.fill_gamma(0.3, 0.3, p=0.5, delta_in=1.0, delta_out=1.0, xi=0.05, eta=0.05)
-        _, log, _ = simulate(SimulationConfig(params=th, n_edges=120, seed=5))
+        _, log = simulate(SimulationConfig(params=th, n_edges=120, seed=5))
         path = tmp_path / "log.edges"
         export(log, path)
         assert parse_edge_file(path).records == log.records
@@ -319,7 +323,7 @@ class TestExport:
         assert parse_edge_file(path).records == log.records
 
     def test_ccdf_round_trip(self, tmp_path, table1_params):
-        state, _, _ = simulate(SimulationConfig(params=table1_params, n_edges=2000, seed=6))
+        state, _ = simulate(SimulationConfig(params=table1_params, n_edges=2000, seed=6))
         curve = ccdf(degree_counts(state), "in")
         path = tmp_path / "ccdf.csv"
         export(curve, path)
@@ -376,7 +380,7 @@ class TestTraceExport:
     def test_header_and_rows(self, tmp_path, table1_params):
         from hybridnet import MhConfig, fit_mh
 
-        _, log, _ = simulate(SimulationConfig(params=table1_params, n_edges=500, seed=3))
+        _, log = simulate(SimulationConfig(params=table1_params, n_edges=500, seed=3))
         result = fit_mh(replay(log), MhConfig(burn_in=50, iterations=300, thinning=100, seed=1))
         path = tmp_path / "trace.csv"
         export(result, path)
@@ -387,7 +391,7 @@ class TestTraceExport:
     def test_json_trace(self, tmp_path, table1_params):
         from hybridnet import MhConfig, fit_mh
 
-        _, log, _ = simulate(SimulationConfig(params=table1_params, n_edges=400, seed=9))
+        _, log = simulate(SimulationConfig(params=table1_params, n_edges=400, seed=9))
         result = fit_mh(replay(log), MhConfig(burn_in=20, iterations=200, thinning=100, seed=2))
         path = tmp_path / "trace.json"
         export(result, path, format="json")
@@ -399,7 +403,7 @@ class TestTraceExport:
     def test_traceless_result_rejected(self, tmp_path, table1_params):
         from hybridnet import NelderMeadConfig, fit_nelder_mead
 
-        _, log, _ = simulate(SimulationConfig(params=table1_params, n_edges=300, seed=3))
+        _, log = simulate(SimulationConfig(params=table1_params, n_edges=300, seed=3))
         start = HybridParams.fill_gamma(1 / 3, 1 / 3, p=0.5, delta_in=1.0, delta_out=1.0)
         result = fit_nelder_mead(replay(log), NelderMeadConfig(initial_point=start))
         with pytest.raises(ValueError, match="no trace"):

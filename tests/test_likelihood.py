@@ -189,13 +189,13 @@ class TestReplay:
             replay(log)
 
     def test_generator_labels_replay_cleanly(self, theta):
-        _, log, _ = simulate(SimulationConfig(params=theta, n_edges=300, seed=6))
+        _, log = simulate(SimulationConfig(params=theta, n_edges=300, seed=6))
         stats = replay(log)  # labels validated inside
         assert len(stats) == 300
 
     def test_sufficient_stats_invariants(self):
         th = HybridParams.fill_gamma(0.2, 0.4, p=0.6, delta_in=1.0, delta_out=0.9, xi=0.1, eta=0.1)
-        _, log, _ = simulate(SimulationConfig(params=th, n_edges=1000, seed=44))
+        _, log = simulate(SimulationConfig(params=th, n_edges=1000, seed=44))
         stats = replay(log)
         assert sum(stats.scenario_counts) == len(stats)
         sel = (stats.scenario == 1) | (stats.scenario == 2)
@@ -251,7 +251,7 @@ class TestLogLikelihood:
 
 class TestScore:
     def test_matches_finite_differences(self, theta):
-        _, log, _ = simulate(SimulationConfig(params=theta, n_edges=200, seed=12))
+        _, log = simulate(SimulationConfig(params=theta, n_edges=200, seed=12))
         stats = replay(log)
         analytic = score(stats, theta)
         h = 1e-5
@@ -550,13 +550,13 @@ class TestScenarioMle:
 
     def test_binomial_recovery(self):
         th = HybridParams.fill_gamma(0.45, 0.1, p=0.8, delta_in=1.3, delta_out=0.7)
-        _, log, _ = simulate(SimulationConfig(params=th, n_edges=10_000, seed=40))
+        _, log = simulate(SimulationConfig(params=th, n_edges=10_000, seed=40))
         est = mle_scenarios(replay(log))
         sd = math.sqrt(0.45 * 0.55 / 10_000)
         assert abs(est.alpha - 0.45) < 3 * sd
 
     def test_maximizes_scenario_block(self, theta):
-        _, log, _ = simulate(SimulationConfig(params=theta, n_edges=500, seed=17))
+        _, log = simulate(SimulationConfig(params=theta, n_edges=500, seed=17))
         stats = replay(log)
         est = mle_scenarios(stats)
         best = HybridParams.fill_gamma(
@@ -597,7 +597,7 @@ class TestApproxScore:
             approx_score_solve(counts, (0.5, 0.5, 0.0), "in")
 
     def test_residual_smallest_at_truth(self, table1_params):
-        state, _, _ = simulate(SimulationConfig(params=table1_params, n_edges=50_000, seed=91))
+        state, _ = simulate(SimulationConfig(params=table1_params, n_edges=50_000, seed=91))
         counts = degree_counts(state)
         dc = derived_constants(table1_params)
         from hybridnet.likelihood import approx_score_equation
@@ -611,7 +611,7 @@ class TestApproxScore:
     def test_p_is_not_identified_by_the_approximation(self, table1_params):
         # the equation depends on p only through the offset map, so any p
         # admits the same root: the approximation path cannot estimate p
-        state, _, _ = simulate(SimulationConfig(params=table1_params, n_edges=20_000, seed=92))
+        state, _ = simulate(SimulationConfig(params=table1_params, n_edges=20_000, seed=92))
         counts = degree_counts(state)
         freqs = (table1_params.alpha, table1_params.beta, table1_params.gamma)
         roots = [
@@ -624,7 +624,7 @@ class TestApproxScore:
 class TestInvariances:
     def test_likelihood_depends_only_on_degrees_and_counts(self, theta):
         # relabelling node ids (consistently) leaves every covariate unchanged
-        _, log, _ = simulate(SimulationConfig(params=theta, n_edges=400, seed=55))
+        _, log = simulate(SimulationConfig(params=theta, n_edges=400, seed=55))
         rng = np.random.default_rng(1)
         ids = sorted({n for rec in log for n in (rec.source, rec.target)} | {1})
         perm = dict(zip(ids, rng.permutation(ids) + 0))
