@@ -162,7 +162,8 @@ def cmd_fit(args) -> int:
     out = Path(args.out) if args.out else Path(args.input).with_suffix(".estimate.json")
     _write_json(out, payload)
     if args.trace_out:
-        export(result, Path(args.trace_out))
+        trace_out = Path(args.trace_out)
+        export(result, trace_out, format="json" if trace_out.suffix.lower() == ".json" else "csv")
     print(f"method={args.method} converged={result.converged} estimate -> {out}")
     if not result.converged:
         print("fit did not converge (boundary, iteration budget or line search)", file=sys.stderr)
@@ -317,7 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--delta-max", type=float, default=100.0)
     pf.add_argument("--init", default=None, help="search start as comma list (see --help)")
     pf.add_argument("--out", default=None)
-    pf.add_argument("--trace-out", default=None)
+    pf.add_argument(
+        "--trace-out", default=None, help="sampler trace: JSON for a .json suffix, CSV otherwise"
+    )
     pf.add_argument(
         "--unseeded",
         action="store_true",

@@ -20,6 +20,8 @@ one of the three estimators by name.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -101,12 +103,52 @@ class TraceEntry(NamedTuple):
     log_posterior: float
 
 
+class Trace(Sequence):
+    """A sampler's kept draws as columns: ``iteration`` (int64),
+    ``draws`` (one row per draw: alpha, beta, gamma, xi, eta, p, delta_in,
+    delta_out, with p clamped to [0, 1]) and ``log_posterior``.
+
+    Indexing and iteration give ``TraceEntry`` rows, whose ``HybridParams``
+    is built and validated only when the row is accessed.
+    """
+
+    def __init__(self, iteration: np.ndarray, draws: np.ndarray, log_posterior: np.ndarray):
+        self.iteration = np.asarray(iteration, dtype=np.int64)
+        self.draws = np.array(draws, dtype=float)
+        p = self.draws[:, 5]
+        p[...] = np.where(p < 0.0, 0.0, np.where(p > 1.0, 1.0, p))  # as _params_from_components
+        self.log_posterior = np.asarray(log_posterior, dtype=float)
+
+    def __len__(self) -> int:
+        return len(self.iteration)
+
+    def __getitem__(self, k) -> TraceEntry:
+        k = operator.index(k)  # one row; numpy counts a negative index from the end
+        row = self.draws[k].tolist()
+        lp = float(self.log_posterior[k])
+        return TraceEntry(int(self.iteration[k]), _params_from_components(row), lp)
+
+    def __iter__(self):
+        columns = (self.iteration.tolist(), self.draws.tolist(), self.log_posterior.tolist())
+        for t, row, lp in zip(*columns):
+            yield TraceEntry(t, _params_from_components(row), lp)
+
+    def __eq__(self, other):
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return (
+            np.array_equal(self.iteration, other.iteration)
+            and np.array_equal(self.draws, other.draws)
+            and np.array_equal(self.log_posterior, other.log_posterior)
+        )
+
+
 @dataclass
 class EstimationResult:
     point: HybridParams
     converged: bool
     log_likelihood: float
-    trace: list[TraceEntry] | None = None
+    trace: Trace | None = None
     acceptance_rate: float | None = None
     diagnostics: dict = field(default_factory=dict)
 
@@ -236,6 +278,16 @@ def _adapted_proposal(window: np.ndarray, chol: np.ndarray) -> np.ndarray:
     return chol
 
 
+def _increments(z: np.ndarray, chol: np.ndarray) -> np.ndarray:
+    """The rows ``chol @ z[k]``, each summed left to right by numpy's
+    elementwise operations; a BLAS product's last digits can depend on its
+    thread count."""
+    out = z[:, 0:1] * chol[:, 0]
+    out += z[:, 1:2] * chol[:, 1]
+    out += z[:, 2:3] * chol[:, 2]
+    return out
+
+
 def fit_mh(stats: SufficientStats, config: MhConfig) -> EstimationResult:
     """Flat-prior posterior sampling: the scenario block drawn exactly, a
     random walk on the kernel block.
@@ -243,8 +295,8 @@ def fit_mh(stats: SufficientStats, config: MhConfig) -> EstimationResult:
     Under the flat prior the posterior factorises.  The scenario
     probabilities are Dirichlet(counts + 1) on the scenarios that occur
     (the others are exactly zero) and independent of the kernel, so they
-    are drawn exactly, once per kept draw.  The kernel block
-    (p, log delta_in, log delta_out) is sampled by random-walk
+    are drawn exactly, once per kept draw, after the chain.  The kernel
+    block (p, log delta_in, log delta_out) is sampled by random-walk
     Metropolis-Hastings on the kernel log-likelihood plus the log-scale
     Jacobian, from p uniform and offsets from a standard exponential; a
     proposal outside the prior support (p in [0, 1],
@@ -257,7 +309,14 @@ def fit_mh(stats: SufficientStats, config: MhConfig) -> EstimationResult:
     Metropolis-Hastings chain.  With ``burn_in=0`` the initial proposal is
     used throughout.
 
-    The uniform of each step is drawn before its proposal is evaluated.
+    Every step's three standard normals and its uniform are drawn before
+    the chain, step by step in that order.  Between two adaptation points
+    the proposal is fixed, so each phase's increments, the proposal's
+    Cholesky factor times the normals, are computed in one pass when the
+    phase starts; the walk itself runs on Python floats and keeps each
+    step's state in a preallocated list, which gives both the adaptation
+    history and the kept draws.
+
     Inside the prior support, ``_kernel_upper_bound`` gives a bound on the
     computed kernel log-likelihood, and the exact value is evaluated only
     when ``u`` falls below the acceptance probability of that bound
@@ -270,9 +329,10 @@ def fit_mh(stats: SufficientStats, config: MhConfig) -> EstimationResult:
     included.
 
     The trace keeps every ``thinning``-th post-burn-in draw with its data
-    log-likelihood, and the point estimate is the mean of the kept draws;
-    the acceptance rate is the kernel walk's over the post-burn-in phase.
-    Deterministic for a fixed seed.
+    log-likelihood, as columns (``Trace``), and the point estimate is the
+    mean of the kept draws; the acceptance rate is the kernel walk's over
+    the post-burn-in phase.  ``converged`` is always True: the sampler
+    checks no convergence diagnostic yet.  Deterministic for a fixed seed.
     """
     counts = np.array(stats.scenario_counts)
     present = counts > 0
@@ -280,69 +340,62 @@ def fit_mh(stats: SufficientStats, config: MhConfig) -> EstimationResult:
         raise ValueError("cannot fit an empty log")
     log_delta_max = math.log(config.delta_max)
     rng = np.random.default_rng(config.seed)
-
-    evals = 0
-
-    def log_target(x: np.ndarray) -> tuple[float, float]:
-        """(sampled-space log density, kernel log-likelihood) of a point
-        inside the prior support."""
-        nonlocal evals
-        evals += 1
-        ll = _kernel_log_likelihood(stats, x[0], math.exp(x[1]), math.exp(x[2]))
-        if not math.isfinite(ll):
-            return -math.inf, -math.inf
-        return ll + x[1] + x[2], ll
-
     deltas = np.clip(rng.exponential(size=2), 1e-6, config.delta_max)
-    x = np.array([rng.random(), *np.log(deltas)])
-    chol = np.diag(_INITIAL_STEPS)
+    x0, x1, x2 = rng.random(), *np.log(deltas).tolist()
     burn_in, thinning = config.burn_in, config.thinning
-    adapt_at = {round(k * burn_in / _ADAPT_POINTS) for k in range(1, _ADAPT_POINTS + 1)}
-    history = np.empty((burn_in, 3))
-    n_kept = config.iterations // thinning
-    kernel = np.empty((n_kept, 3))  # kept (p, delta_in, delta_out)
-    kept_ll = np.empty(n_kept)
+    steps = burn_in + config.iterations
+    normals = np.empty((steps, 3))
+    uniforms = [0.0] * steps
+    for k in range(steps):
+        rng.standard_normal(out=normals[k])
+        uniforms[k] = rng.random()
+    # the steps after which the proposal is adapted end the phases
+    ends = sorted({round(k * burn_in / _ADAPT_POINTS) for k in range(1, _ADAPT_POINTS + 1)} - {0})
+    ends.append(steps)
+    chol = np.diag(_INITIAL_STEPS)
+    # per step, the state after it: (p, log delta_in, log delta_out, kernel log-likelihood)
+    walk = [None] * steps
+    evals = 1
     accepts = 0
     # exp can underflow a proposed offset to zero; its -inf is a rejection
     with np.errstate(divide="ignore", invalid="ignore"):
-        lp, ll = log_target(x)
-        for t in range(1, burn_in + config.iterations + 1):
-            proposal = x + chol @ rng.standard_normal(3)
-            u = rng.random()
-            p, log_delta_in, log_delta_out = proposal
-            accepted = False
-            if 0.0 <= p <= 1.0 and log_delta_in <= log_delta_max and log_delta_out <= log_delta_max:
-                bound = _kernel_upper_bound(stats, p, math.exp(log_delta_in), math.exp(log_delta_out))
-                # the screen: a proposal that its bound rejects, the exact value rejects too
-                if u < accept_probability(lp, bound + log_delta_in + log_delta_out):
-                    lpp, llp = log_target(proposal)
-                    accepted = u < accept_probability(lp, lpp)
-            if accepted:
-                x, lp, ll = proposal, lpp, llp
-            if t <= burn_in:
-                history[t - 1] = x
-                if t in adapt_at:  # from the later half of the draws so far
-                    chol = _adapted_proposal(history[t // 2 : t], chol)
-                continue
-            accepts += accepted
-            kept, rest = divmod(t - burn_in, thinning)
-            if rest == 0:
-                kernel[kept - 1, 0] = x[0]
-                kernel[kept - 1, 1:] = np.exp(x[1:])
-                kept_ll[kept - 1] = ll
+        ll = _kernel_log_likelihood(stats, x0, math.exp(x1), math.exp(x2))
+        if not math.isfinite(ll):
+            ll = -math.inf
+        lp = ll + x1 + x2
+        state = (x0, x1, x2, ll)
+        lo = 0
+        for hi in ends:
+            phase = zip(range(lo, hi), _increments(normals[lo:hi], chol).tolist(), uniforms[lo:hi])
+            for t, (d0, d1, d2), u in phase:
+                p, log_delta_in, log_delta_out = x0 + d0, x1 + d1, x2 + d2
+                if 0.0 <= p <= 1.0 and log_delta_in <= log_delta_max and log_delta_out <= log_delta_max:
+                    delta_in, delta_out = math.exp(log_delta_in), math.exp(log_delta_out)
+                    bound = _kernel_upper_bound(stats, p, delta_in, delta_out)
+                    # the screen: a proposal that its bound rejects, the exact value rejects too
+                    if u < accept_probability(lp, bound + log_delta_in + log_delta_out):
+                        evals += 1
+                        llp = _kernel_log_likelihood(stats, p, delta_in, delta_out)
+                        lpp = llp + log_delta_in + log_delta_out
+                        if math.isfinite(llp) and u < accept_probability(lp, lpp):
+                            x0, x1, x2, lp = p, log_delta_in, log_delta_out, lpp
+                            state = (p, log_delta_in, log_delta_out, llp)
+                            accepts += t >= burn_in
+                walk[t] = state
+            if hi <= burn_in:  # from the later half of the draws so far
+                window = np.array(walk[hi // 2 : hi])[:, :3]
+                chol = _adapted_proposal(window, chol)
+            lo = hi
 
+        n_kept = config.iterations // thinning
+        kept = np.array(walk[burn_in + thinning - 1 :: thinning])
         probs = np.zeros((n_kept, 5))
         probs[:, present] = rng.dirichlet(counts[present] + 1.0, size=n_kept)
         # the multinomial term of every kept draw (-inf where a drawn probability is 0)
         scenario_ll = (np.log(probs[:, present]) * counts[present]).sum(axis=1)
-    draws = np.hstack([probs, kernel])  # columns: alpha..eta, p, delta_in, delta_out
-    iterations = range(burn_in + thinning, burn_in + n_kept * thinning + 1, thinning)
-    # rows of Python floats, zipped from the columns: no list per row is kept
-    rows = zip(*draws.T.tolist())
-    trace = [
-        TraceEntry(t, _params_from_components(row), s + ll)
-        for t, row, s, ll in zip(iterations, rows, scenario_ll.tolist(), kept_ll.tolist())
-    ]
+    # columns: alpha..eta, p, delta_in, delta_out
+    draws = np.hstack([probs, kept[:, :1], np.exp(kept[:, 1:3])])
+    iterations = np.arange(burn_in + thinning, burn_in + n_kept * thinning + 1, thinning)
     summary = np.mean(draws, axis=0)
     summary[:5] /= summary[:5].sum()  # back onto the simplex after rounding
     point = _params_from_components(summary)
@@ -350,7 +403,7 @@ def fit_mh(stats: SufficientStats, config: MhConfig) -> EstimationResult:
         point=point,
         converged=True,
         log_likelihood=log_likelihood(stats, point),
-        trace=trace,
+        trace=Trace(iterations, draws, scenario_ll + kept[:, 3]),
         acceptance_rate=accepts / config.iterations,
         diagnostics={"likelihood_evals": evals + 1},  # the point's evaluation included
     )

@@ -16,8 +16,18 @@ from hybridnet import (
     simulate,
     step_distribution,
 )
-from hybridnet.estimation import EstimationResult, _params_from_components, _scenario_block
-from hybridnet.likelihood import _kernel_log_likelihood, log_likelihood
+from hybridnet.estimation import (
+    _ADAPT_POINTS,
+    _INITIAL_STEPS,
+    EstimationResult,
+    TraceEntry,
+    _adapted_proposal,
+    _params_from_components,
+    _scenario_block,
+    accept_probability,
+)
+from hybridnet.io import TRACE_HEADER, _write_rows
+from hybridnet.likelihood import _kernel_log_likelihood, _kernel_upper_bound, log_likelihood
 
 
 @pytest.fixture
@@ -263,6 +273,110 @@ def reference_write_edge_log(log, path, block_rows=1 << 16):
         for lo in range(0, len(table), block_rows):
             block = table[lo : lo + block_rows]
             out.write(row * len(block) % tuple(block.ravel().tolist()))
+
+
+def reference_fit_mh(stats, config):
+    """The per-step loop that ``fit_mh`` replaced: a fresh proposal array
+    ``x + chol @ rng.standard_normal(3)`` and its uniform at every step, and
+    a list of ``TraceEntry`` rows.  Kept as the oracle of the chain: same
+    seed, same random stream, same decisions."""
+    counts = np.array(stats.scenario_counts)
+    present = counts > 0
+    if not present.any():
+        raise ValueError("cannot fit an empty log")
+    log_delta_max = math.log(config.delta_max)
+    rng = np.random.default_rng(config.seed)
+
+    evals = 0
+
+    def log_target(x: np.ndarray) -> tuple[float, float]:
+        nonlocal evals
+        evals += 1
+        ll = _kernel_log_likelihood(stats, x[0], math.exp(x[1]), math.exp(x[2]))
+        if not math.isfinite(ll):
+            return -math.inf, -math.inf
+        return ll + x[1] + x[2], ll
+
+    deltas = np.clip(rng.exponential(size=2), 1e-6, config.delta_max)
+    x = np.array([rng.random(), *np.log(deltas)])
+    chol = np.diag(_INITIAL_STEPS)
+    burn_in, thinning = config.burn_in, config.thinning
+    adapt_at = {round(k * burn_in / _ADAPT_POINTS) for k in range(1, _ADAPT_POINTS + 1)}
+    history = np.empty((burn_in, 3))
+    n_kept = config.iterations // thinning
+    kernel = np.empty((n_kept, 3))  # kept (p, delta_in, delta_out)
+    kept_ll = np.empty(n_kept)
+    accepts = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lp, ll = log_target(x)
+        for t in range(1, burn_in + config.iterations + 1):
+            proposal = x + chol @ rng.standard_normal(3)
+            u = rng.random()
+            p, log_delta_in, log_delta_out = proposal
+            accepted = False
+            if 0.0 <= p <= 1.0 and log_delta_in <= log_delta_max and log_delta_out <= log_delta_max:
+                bound = _kernel_upper_bound(stats, p, math.exp(log_delta_in), math.exp(log_delta_out))
+                if u < accept_probability(lp, bound + log_delta_in + log_delta_out):
+                    lpp, llp = log_target(proposal)
+                    accepted = u < accept_probability(lp, lpp)
+            if accepted:
+                x, lp, ll = proposal, lpp, llp
+            if t <= burn_in:
+                history[t - 1] = x
+                if t in adapt_at:
+                    chol = _adapted_proposal(history[t // 2 : t], chol)
+                continue
+            accepts += accepted
+            kept, rest = divmod(t - burn_in, thinning)
+            if rest == 0:
+                kernel[kept - 1, 0] = x[0]
+                kernel[kept - 1, 1:] = np.exp(x[1:])
+                kept_ll[kept - 1] = ll
+
+        probs = np.zeros((n_kept, 5))
+        probs[:, present] = rng.dirichlet(counts[present] + 1.0, size=n_kept)
+        scenario_ll = (np.log(probs[:, present]) * counts[present]).sum(axis=1)
+    draws = np.hstack([probs, kernel])
+    iterations = range(burn_in + thinning, burn_in + n_kept * thinning + 1, thinning)
+    rows = zip(*draws.T.tolist())
+    trace = [
+        TraceEntry(t, _params_from_components(row), s + ll)
+        for t, row, s, ll in zip(iterations, rows, scenario_ll.tolist(), kept_ll.tolist())
+    ]
+    summary = np.mean(draws, axis=0)
+    summary[:5] /= summary[:5].sum()
+    point = _params_from_components(summary)
+    return EstimationResult(
+        point=point,
+        converged=True,
+        log_likelihood=log_likelihood(stats, point),
+        trace=trace,
+        acceptance_rate=accepts / config.iterations,
+        diagnostics={"likelihood_evals": evals + 1},
+    )
+
+
+def reference_write_trace(result, path, format):
+    """The loop over ``TraceEntry`` rows that ``io._write_trace`` replaced,
+    kept as the byte oracle of the trace export."""
+    rows = []
+    for entry in result.trace:
+        th = entry.params
+        rows.append(
+            (
+                entry.iteration,
+                th.alpha,
+                th.beta,
+                th.gamma,
+                th.xi,
+                th.eta,
+                th.p,
+                th.delta_in,
+                th.delta_out,
+                entry.log_posterior,
+            )
+        )
+    _write_rows(rows, TRACE_HEADER, path, format)
 
 
 def reference_replay(log, seeded=True):

@@ -130,6 +130,22 @@ class TestFitCommand:
             "p", "delta_in", "delta_out", "log_posterior",
         }
 
+    @pytest.mark.parametrize("suffix", [".csv", ".json"])
+    def test_trace_format_follows_suffix(self, simulated_dir, tmp_path, suffix):
+        trace_path = tmp_path / f"trace{suffix}"
+        code = run(["fit", "--input", str(simulated_dir / "replicate_000.edges"),
+                    "--method", "mh", "--burn-in", "100", "--iterations", "400",
+                    "--thinning", "100", "--seed", "5",
+                    "--out", str(tmp_path / "est.json"), "--trace-out", str(trace_path)])
+        assert code == 0
+        text = trace_path.read_text()
+        if suffix == ".json":
+            rows = json.loads(text)
+            assert [row["iteration"] for row in rows] == [200, 300, 400, 500]
+        else:
+            assert text.splitlines()[0].startswith("iteration,alpha,")
+            assert len(text.splitlines()) == 1 + 4
+
     def test_trace_out_without_sampler_rejected(self, simulated_dir, tmp_path, capsys):
         code = run(["fit", "--input", str(simulated_dir / "replicate_000.edges"),
                     "--method", "nm", "--out", str(tmp_path / "est.json"),

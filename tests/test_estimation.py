@@ -31,9 +31,12 @@ from hybridnet import (
     window,
 )
 from hybridnet import cli, estimation
+from hybridnet.estimation import Trace, _params_from_components
 from conftest import (
+    ORACLE_SETTINGS,
     effective_sample_size,
     log_from_pairs,
+    reference_fit_mh,
     reference_kernel_log_likelihood,
     reference_nelder_mead,
 )
@@ -374,6 +377,74 @@ class TestMetropolisHastings:
         assert accept_probability(-10.0, -math.inf) == 0.0
         assert accept_probability(-10.0, -5.0) == 1.0
         assert accept_probability(-5.0, -6.0) == pytest.approx(math.exp(-1.0))
+
+
+# (setting, MhConfig) pairs of the chain oracle: no burn-in, a short adapted
+# burn-in, thinning that does not divide the iterations, a delta_max below
+# the true delta_in that proposals cross, and a log with xi and eta present
+CHAIN_CASES = {
+    "no_burn_in": ("table1", MhConfig(burn_in=0, iterations=1_500, thinning=1, seed=4)),
+    "short_burn_in": ("table1", MhConfig(burn_in=37, iterations=600, thinning=1, seed=5)),
+    "thinned": ("table1", MhConfig(burn_in=1_000, iterations=3_000, thinning=7, seed=6)),
+    "small_delta_max": ("table1", MhConfig(burn_in=500, iterations=2_000, thinning=2, delta_max=0.8, seed=7)),
+    "extended": ("extended", MhConfig(burn_in=800, iterations=2_000, thinning=4, seed=8)),
+}
+
+
+class TestChainOracle:
+    @pytest.mark.parametrize("case", sorted(CHAIN_CASES))
+    def test_same_chain_as_per_step_loop(self, case):
+        # the increments are summed in another order than the reference's
+        # chol @ z, so the kernel draws may move in their last digits only
+        setting, config = CHAIN_CASES[case]
+        log = simulate(SimulationConfig(params=ORACLE_SETTINGS[setting], n_edges=2_000, seed=3)).log
+        stats = replay(log)
+        fast, slow = fit_mh(stats, config), reference_fit_mh(stats, config)
+        assert 0.0 < fast.acceptance_rate < 1.0
+        assert fast.acceptance_rate == slow.acceptance_rate
+        assert fast.diagnostics == slow.diagnostics
+        assert fast.trace.iteration.tolist() == [e.iteration for e in slow.trace]
+        reference = np.array([[*(getattr(e.params, n) for n in SCENARIOS + KERNEL), e.log_posterior]
+                              for e in slow.trace])
+        assert np.array_equal(fast.trace.draws[:, :5], reference[:, :5])
+        np.testing.assert_allclose(fast.trace.draws[:, 5:], reference[:, 5:8], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(fast.trace.log_posterior, reference[:, 8], rtol=1e-12, atol=0.0)
+        if case == "small_delta_max":  # the chain presses on the bound
+            assert fast.trace.draws[:, 6].max() > 0.95 * config.delta_max
+        if case == "extended":
+            assert (fast.trace.draws[:, 3:5] > 0.0).all()
+
+
+class TestTrace:
+    def test_sequence_protocol(self, sim_stats):
+        _, stats = sim_stats
+        trace = fit_mh(stats, MhConfig(burn_in=50, iterations=300, thinning=30, seed=9)).trace
+        assert len(trace) == 10
+        rows = list(trace)
+        assert len(rows) == 10
+        for k, entry in enumerate(rows):
+            assert entry == trace[k] == trace[k - 10]
+            assert isinstance(entry.iteration, int) and entry.iteration == 80 + 30 * k
+            assert entry.params == _params_from_components(trace.draws[k].tolist())
+            assert entry.log_posterior == trace.log_posterior[k]
+        for k in (10, -11):
+            with pytest.raises(IndexError):
+                trace[k]
+        copy = Trace(trace.iteration, trace.draws, trace.log_posterior)
+        assert copy == trace and copy is not trace
+        moved = trace.log_posterior.copy()
+        moved[-1] -= 1.0
+        assert Trace(trace.iteration, trace.draws, moved) != trace
+
+    def test_p_column_is_clamped(self, sim_stats):
+        _, stats = sim_stats
+        trace = fit_mh(stats, MhConfig(burn_in=0, iterations=4, thinning=1, seed=9)).trace
+        draws = trace.draws.copy()
+        draws[:2, 5] = (-0.25, 1.5)
+        clamped = Trace(trace.iteration, draws, trace.log_posterior)
+        assert clamped.draws[:2, 5].tolist() == [0.0, 1.0]
+        assert [e.params.p for e in clamped][:2] == [0.0, 1.0]
+        assert draws[0, 5] == -0.25  # the caller's array is not written
 
 
 class TestFactorisedSampler:

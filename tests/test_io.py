@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import replace
 import warnings
 
 import numpy as np
@@ -23,7 +24,7 @@ from hybridnet import (
     window,
 )
 from hybridnet.io import TRACE_HEADER, _fast_columns, _line_columns, _stamp
-from conftest import log_from_pairs, reference_write_edge_log
+from conftest import log_from_pairs, reference_write_edge_log, reference_write_trace
 
 
 class TestParse:
@@ -399,6 +400,25 @@ class TestTraceExport:
         assert len(payload) == 2
         assert payload[0]["iteration"] == 120
         assert set(payload[0]) == set(TRACE_HEADER)
+
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_bytes_match_entry_loop(self, tmp_path, table1_params, seed):
+        from hybridnet import MhConfig, fit_mh
+        from hybridnet.estimation import Trace
+
+        _, log = simulate(SimulationConfig(params=table1_params, n_edges=500, seed=seed))
+        result = fit_mh(replay(log), MhConfig(burn_in=100, iterations=600, thinning=3, seed=seed))
+        # a non-finite log posterior: CSV writes inf, JSON -Infinity
+        log_posterior = result.trace.log_posterior.copy()
+        log_posterior[1] = -np.inf
+        infinite = replace(result, trace=Trace(result.trace.iteration, result.trace.draws, log_posterior))
+        for res in (result, infinite):
+            for format in ("csv", "json"):
+                path, oracle = tmp_path / f"trace.{format}", tmp_path / f"oracle.{format}"
+                export(res, path, format=format)
+                reference_write_trace(res, oracle, format)
+                assert path.read_bytes() == oracle.read_bytes(), format
+        assert b"-Infinity" in path.read_bytes()
 
     def test_traceless_result_rejected(self, tmp_path, table1_params):
         from hybridnet import NelderMeadConfig, fit_nelder_mead
