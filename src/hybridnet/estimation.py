@@ -47,6 +47,7 @@ _INITIAL_STEPS = (0.01, 0.05, 0.05)  # initial proposal scales of (p, log delta_
 _ADAPT_POINTS = 10  # proposal adaptations, evenly spaced over burn-in
 _ADAPT_SCALE = 2.38**2 / 3  # optimal random-walk scaling in three dimensions
 _PD_RTOL = 1e-12  # smallest/largest covariance eigenvalue that counts as positive definite
+_WALK_BLOCK = 4096  # sampler steps drawn and walked at a time
 
 
 @dataclass(frozen=True)
@@ -109,7 +110,8 @@ class Trace(Sequence):
     delta_out, with p clamped to [0, 1]) and ``log_posterior``.
 
     Indexing and iteration give ``TraceEntry`` rows, whose ``HybridParams``
-    is built and validated only when the row is accessed.
+    is built and validated only when the row is accessed; a slice gives a
+    ``Trace`` of the sliced rows.
     """
 
     def __init__(self, iteration: np.ndarray, draws: np.ndarray, log_posterior: np.ndarray):
@@ -122,7 +124,9 @@ class Trace(Sequence):
     def __len__(self) -> int:
         return len(self.iteration)
 
-    def __getitem__(self, k) -> TraceEntry:
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return Trace(self.iteration[k], self.draws[k], self.log_posterior[k])
         k = operator.index(k)  # one row; numpy counts a negative index from the end
         row = self.draws[k].tolist()
         lp = float(self.log_posterior[k])
@@ -309,13 +313,16 @@ def fit_mh(stats: SufficientStats, config: MhConfig) -> EstimationResult:
     Metropolis-Hastings chain.  With ``burn_in=0`` the initial proposal is
     used throughout.
 
-    Every step's three standard normals and its uniform are drawn before
-    the chain, step by step in that order.  Between two adaptation points
-    the proposal is fixed, so each phase's increments, the proposal's
-    Cholesky factor times the normals, are computed in one pass when the
-    phase starts; the walk itself runs on Python floats and keeps each
-    step's state in a preallocated list, which gives both the adaptation
-    history and the kept draws.
+    The steps are walked in blocks of at most ``_WALK_BLOCK``, split at
+    the adaptation points.  A block's three standard normals and uniform
+    per step are drawn before it is walked, step by step in that order, so
+    the seed gives the random stream of a step-by-step draw.  The
+    proposal is fixed within a block, so its increments, the proposal's
+    Cholesky factor times the normals, are computed in one pass; the walk
+    itself runs on Python floats.  The states of the burn-in steps are
+    kept for the adaptation windows, and after burn-in only those of the
+    kept draws, so the memory of a chain does not grow with its
+    post-burn-in length beyond its kept draws.
 
     Inside the prior support, ``_kernel_upper_bound`` gives a bound on the
     computed kernel log-likelihood, and the exact value is evaluated only
@@ -344,19 +351,17 @@ def fit_mh(stats: SufficientStats, config: MhConfig) -> EstimationResult:
     x0, x1, x2 = rng.random(), *np.log(deltas).tolist()
     burn_in, thinning = config.burn_in, config.thinning
     steps = burn_in + config.iterations
-    normals = np.empty((steps, 3))
-    uniforms = [0.0] * steps
-    for k in range(steps):
-        rng.standard_normal(out=normals[k])
-        uniforms[k] = rng.random()
     # the steps after which the proposal is adapted end the phases
     ends = sorted({round(k * burn_in / _ADAPT_POINTS) for k in range(1, _ADAPT_POINTS + 1)} - {0})
     ends.append(steps)
     chol = np.diag(_INITIAL_STEPS)
-    # per step, the state after it: (p, log delta_in, log delta_out, kernel log-likelihood)
-    walk = [None] * steps
+    normals = np.empty((_WALK_BLOCK, 3))
+    uniforms = [0.0] * _WALK_BLOCK
+    # per step of a block, the state after it: (p, log delta_in, log delta_out, kernel log-likelihood)
+    walk = [None] * _WALK_BLOCK
+    history = []  # the burn-in steps' states
+    kept = []  # the kept draws' states
     evals = 1
-    accepts = 0
     # exp can underflow a proposed offset to zero; its -inf is a rejection
     with np.errstate(divide="ignore", invalid="ignore"):
         ll = _kernel_log_likelihood(stats, x0, math.exp(x1), math.exp(x2))
@@ -365,30 +370,41 @@ def fit_mh(stats: SufficientStats, config: MhConfig) -> EstimationResult:
         lp = ll + x1 + x2
         state = (x0, x1, x2, ll)
         lo = 0
-        for hi in ends:
-            phase = zip(range(lo, hi), _increments(normals[lo:hi], chol).tolist(), uniforms[lo:hi])
-            for t, (d0, d1, d2), u in phase:
-                p, log_delta_in, log_delta_out = x0 + d0, x1 + d1, x2 + d2
-                if 0.0 <= p <= 1.0 and log_delta_in <= log_delta_max and log_delta_out <= log_delta_max:
-                    delta_in, delta_out = math.exp(log_delta_in), math.exp(log_delta_out)
-                    bound = _kernel_upper_bound(stats, p, delta_in, delta_out)
-                    # the screen: a proposal that its bound rejects, the exact value rejects too
-                    if u < accept_probability(lp, bound + log_delta_in + log_delta_out):
-                        evals += 1
-                        llp = _kernel_log_likelihood(stats, p, delta_in, delta_out)
-                        lpp = llp + log_delta_in + log_delta_out
-                        if math.isfinite(llp) and u < accept_probability(lp, lpp):
-                            x0, x1, x2, lp = p, log_delta_in, log_delta_out, lpp
-                            state = (p, log_delta_in, log_delta_out, llp)
-                            accepts += t >= burn_in
-                walk[t] = state
+        for hi in ends:  # the last phase, and only it, is the post-burn-in one
+            accepts = 0  # so that the rate counts the post-burn-in moves
+            for start in range(lo, hi, _WALK_BLOCK):
+                n = min(_WALK_BLOCK, hi - start)
+                for k in range(n):
+                    rng.standard_normal(out=normals[k])
+                    uniforms[k] = rng.random()
+                increments = _increments(normals[:n], chol).tolist()
+                for k, (d0, d1, d2), u in zip(range(n), increments, uniforms):
+                    p, log_delta_in, log_delta_out = x0 + d0, x1 + d1, x2 + d2
+                    if 0.0 <= p <= 1.0 and log_delta_in <= log_delta_max and log_delta_out <= log_delta_max:
+                        delta_in, delta_out = math.exp(log_delta_in), math.exp(log_delta_out)
+                        bound = _kernel_upper_bound(stats, p, delta_in, delta_out)
+                        # the screen: a proposal that its bound rejects, the exact value rejects too
+                        if u < accept_probability(lp, bound + log_delta_in + log_delta_out):
+                            evals += 1
+                            llp = _kernel_log_likelihood(stats, p, delta_in, delta_out)
+                            lpp = llp + log_delta_in + log_delta_out
+                            if math.isfinite(llp) and u < accept_probability(lp, lpp):
+                                x0, x1, x2, lp = p, log_delta_in, log_delta_out, lpp
+                                state = (p, log_delta_in, log_delta_out, llp)
+                                accepts += 1
+                    walk[k] = state
+                if hi <= burn_in:
+                    history += walk[:n]
+                else:  # post-burn-in step t is kept when t - burn_in + 1 is a multiple of thinning
+                    kept += walk[(burn_in + thinning - 1 - start) % thinning : n : thinning]
+                del increments  # before the next block's are built
             if hi <= burn_in:  # from the later half of the draws so far
-                window = np.array(walk[hi // 2 : hi])[:, :3]
+                window = np.array(history[hi // 2 : hi])[:, :3]
                 chol = _adapted_proposal(window, chol)
             lo = hi
 
         n_kept = config.iterations // thinning
-        kept = np.array(walk[burn_in + thinning - 1 :: thinning])
+        kept = np.array(kept)
         probs = np.zeros((n_kept, 5))
         probs[:, present] = rng.dirichlet(counts[present] + 1.0, size=n_kept)
         # the multinomial term of every kept draw (-inf where a drawn probability is 0)

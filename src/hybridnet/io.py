@@ -329,33 +329,9 @@ def _write_rows(rows, header: Sequence[str], path: Path, format: str) -> None:
         path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-# one trace row in each format, its fields in TRACE_HEADER order for CSV and
-# sorted by name for JSON, as json.dumps(sort_keys=True, indent=2) lays them out
-_TRACE_CSV_ROW = "%d" + ",%.17g" * (len(TRACE_HEADER) - 1) + "\n"
-_TRACE_JSON_ROW = "  {\n" + ",\n".join(f'    "{k}": %s' for k in sorted(TRACE_HEADER)) + "\n  }"
-
-
 def _write_trace(result: EstimationResult, path: Path, format: str) -> None:
-    """The bytes that ``_write_rows`` writes for the trace's rows, rendered
-    from its columns with one row template."""
     trace = result.trace
     if trace is None:
         raise ValueError("estimation result carries no trace")
-    columns = dict(zip(TRACE_HEADER, (trace.iteration, *trace.draws.T, trace.log_posterior)))
-    if format == "csv":
-        rows = zip(*(column.tolist() for column in columns.values()))
-        text = ",".join(TRACE_HEADER) + "\n" + "".join(map(_TRACE_CSV_ROW.__mod__, rows))
-    else:
-        fields = (_json_numbers(columns[k]) for k in sorted(TRACE_HEADER))
-        rows = ",\n".join(map(_TRACE_JSON_ROW.__mod__, zip(*fields)))
-        text = f"[\n{rows}\n]\n" if rows else "[]\n"
-    path.write_text(text)
-
-
-def _json_numbers(column: np.ndarray) -> list[str]:
-    """The JSON text of each value, as ``json.dumps`` writes it: ``repr``,
-    and ``Infinity``, ``-Infinity`` or ``NaN`` where the value is not finite."""
-    text = list(map(repr, column.tolist()))
-    for k in np.flatnonzero(~np.isfinite(column)).tolist():
-        text[k] = json.dumps(column[k].item())
-    return text
+    columns = (trace.iteration, *trace.draws.T, trace.log_posterior)
+    _write_rows(zip(*(column.tolist() for column in columns)), TRACE_HEADER, path, format)

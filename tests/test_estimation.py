@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -398,7 +399,46 @@ class TestChainOracle:
         # chol @ z, so the kernel draws may move in their last digits only
         setting, config = CHAIN_CASES[case]
         log = simulate(SimulationConfig(params=ORACLE_SETTINGS[setting], n_edges=2_000, seed=3)).log
-        stats = replay(log)
+        self.assert_same_chain(replay(log), config)
+        if case == "small_delta_max":  # the chain presses on the bound
+            assert fit_mh(replay(log), config).trace.draws[:, 6].max() > 0.95 * config.delta_max
+        if case == "extended":
+            assert (fit_mh(replay(log), config).trace.draws[:, 3:5] > 0.0).all()
+
+    @pytest.mark.parametrize("case", ["short_burn_in", "thinned"])
+    def test_block_boundaries(self, case, monkeypatch):
+        # blocks of 61 steps end inside the adaptation phases and between
+        # kept draws; the chain is the one walked in whole blocks
+        setting, config = CHAIN_CASES[case]
+        stats = replay(simulate(SimulationConfig(params=ORACLE_SETTINGS[setting], n_edges=2_000, seed=3)).log)
+        whole = fit_mh(stats, config)
+        monkeypatch.setattr(estimation, "_WALK_BLOCK", 61)
+        self.assert_same_chain(stats, config)
+        blocked = fit_mh(stats, config)
+        assert blocked.trace == whole.trace
+        assert blocked.acceptance_rate == whole.acceptance_rate
+        assert blocked.diagnostics == whole.diagnostics
+
+    def test_memory_does_not_grow_with_chain_length(self, sim_stats, monkeypatch):
+        # with every proposal screened out the walk is the loop alone; only
+        # the 4 and 16 kept draws may add to the peak of the 1k-step chain
+        _, stats = sim_stats
+        monkeypatch.setattr(estimation, "_kernel_upper_bound", lambda *args: -math.inf)
+        monkeypatch.setattr(estimation, "_WALK_BLOCK", 256)
+        fit_mh(stats, MhConfig(burn_in=0, iterations=250, thinning=250, seed=1))  # warm caches
+        peaks = []
+        for iterations in (1_000, 4_000):
+            tracemalloc.start()
+            try:
+                fit_mh(stats, MhConfig(burn_in=0, iterations=iterations, thinning=250, seed=1))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # a chain that holds every step's state grows by about 250 kB per 1k steps
+        assert peaks[1] - peaks[0] < 20_000, peaks
+
+    @staticmethod
+    def assert_same_chain(stats, config):
         fast, slow = fit_mh(stats, config), reference_fit_mh(stats, config)
         assert 0.0 < fast.acceptance_rate < 1.0
         assert fast.acceptance_rate == slow.acceptance_rate
@@ -409,10 +449,6 @@ class TestChainOracle:
         assert np.array_equal(fast.trace.draws[:, :5], reference[:, :5])
         np.testing.assert_allclose(fast.trace.draws[:, 5:], reference[:, 5:8], rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(fast.trace.log_posterior, reference[:, 8], rtol=1e-12, atol=0.0)
-        if case == "small_delta_max":  # the chain presses on the bound
-            assert fast.trace.draws[:, 6].max() > 0.95 * config.delta_max
-        if case == "extended":
-            assert (fast.trace.draws[:, 3:5] > 0.0).all()
 
 
 class TestTrace:
@@ -430,6 +466,10 @@ class TestTrace:
         for k in (10, -11):
             with pytest.raises(IndexError):
                 trace[k]
+        head = trace[1:7:2]
+        assert isinstance(head, Trace) and len(head) == 3
+        assert list(head) == rows[1:7:2]
+        assert trace[-2:] == Trace(trace.iteration[-2:], trace.draws[-2:], trace.log_posterior[-2:])
         copy = Trace(trace.iteration, trace.draws, trace.log_posterior)
         assert copy == trace and copy is not trace
         moved = trace.log_posterior.copy()
