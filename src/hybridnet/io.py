@@ -211,17 +211,20 @@ TRACE_HEADER = (
 )
 
 
-def export(obj, path, format: str = "csv") -> None:
+def export(obj, path, format: str | None = None) -> None:
     """Write a supported object to disk with deterministic bytes.
 
     Supported: :class:`EdgeLog` (edge-list text), CCDF curves (``(m, value)``
     pairs), :class:`DegreeCounts`, :class:`LimitPmf` and estimation results
-    (the thinned trace).  ``format`` selects ``csv`` or ``json`` (edge logs
-    are always plain edge-list text).
+    (the thinned trace).  ``format`` selects ``csv`` or ``json``; by default
+    the path names it: ``json`` for a ``.json`` suffix and ``csv`` for any
+    other.  Edge logs are always plain edge-list text.
     """
+    path = Path(path)
+    if format is None:
+        format = "json" if path.suffix.lower() == ".json" else "csv"
     if format not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
-    path = Path(path)
     if isinstance(obj, EdgeLog):
         _write_edge_log(obj, path)
     elif isinstance(obj, DegreeCounts):

@@ -429,8 +429,8 @@ def approx_score_solve(
     ``delta = p * dt - (1 - p)/(1 - beta)``.
 
     Root isolation scans a log-spaced grid inside ``bracket`` for a sign
-    change and polishes with Brent's method; the absence of a sign change
-    is reported as :class:`BracketingError`, never guessed around.
+    change and polishes by bisection; the absence of a sign change is
+    reported as :class:`BracketingError`, never guessed around.
     """
     _, beta, _ = scenario_freqs
     f = approx_score_equation(counts, scenario_freqs, direction)
@@ -441,8 +441,7 @@ def approx_score_solve(
             root = float(lo)
             break
         if flo * fhi < 0.0:
-            from scipy.optimize import brentq  # a lazy import keeps scipy out of `import hybridnet`
-            root = float(brentq(f, lo, hi, xtol=1e-12, rtol=1e-14))
+            root = _bisect(f, float(lo), float(hi), flo)
             break
     else:
         raise BracketingError(
@@ -450,3 +449,20 @@ def approx_score_solve(
         )
     delta = p * root - (1.0 - p) / (1.0 - beta)
     return ApproxScoreResult(delta_tilde=root, delta=delta, residual=f(root), bracket=bracket)
+
+
+def _bisect(f, lo: float, hi: float, flo: float) -> float:
+    """A root of ``f`` in ``[lo, hi]``, where ``f(lo) = flo`` and ``f(hi)``
+    differ in sign, to within ``1e-12 + 1e-14 |root|`` (the ``xtol`` and
+    ``rtol`` that the Brent polish used), or to the float resolution."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if 0.5 * (hi - lo) <= 1e-12 + 1e-14 * abs(mid) or mid in (lo, hi):
+            return mid
+        fmid = f(mid)
+        if fmid == 0.0:
+            return mid
+        if (fmid < 0.0) == (flo < 0.0):
+            lo, flo = mid, fmid
+        else:
+            hi = mid

@@ -326,6 +326,34 @@ class TestCurveCommands:
         assert code == 0
         assert out.read_text().startswith("m,psi_in,psi_out\n")
 
+    @pytest.mark.parametrize("suffix", [".csv", ".json", ".txt"])
+    def test_limit_pmf_format_follows_suffix(self, tmp_path, suffix):
+        out = tmp_path / f"pmf{suffix}"
+        # node-heavy: the mass is captured at m <= 200, where Table-1 needs 204,800
+        node_heavy = ["--alpha", "0.45", "--beta", "0.1", "--p", "0.6", "--din", "1.3", "--dout", "0.7"]
+        code = run(["limit-pmf", *node_heavy, "--m-max", "20", "--out", str(out)])
+        assert code == 0
+        text = out.read_text()
+        if suffix == ".json":
+            rows = json.loads(text)
+            assert [row["m"] for row in rows[:3]] == [0, 1, 2]
+            assert set(rows[0]) == {"m", "psi_in", "psi_out"}
+        else:
+            assert text.startswith("m,psi_in,psi_out\n")
+
+    @pytest.mark.parametrize("suffix", [".csv", ".json", ".txt"])
+    def test_ccdf_format_follows_suffix(self, simulated_dir, tmp_path, suffix):
+        out = tmp_path / f"ccdf{suffix}"
+        code = run(["ccdf", "--input", str(simulated_dir / "replicate_000.edges"),
+                    "--direction", "out", "--out", str(out)])
+        assert code == 0
+        text = out.read_text()
+        if suffix == ".json":
+            rows = json.loads(text)
+            assert rows[0]["m"] == 0 and set(rows[0]) == {"m", "value"}
+        else:
+            assert text.startswith("m,value\n")
+
     def test_empirical_tail_tracks_limit_tail(self, tmp_path):
         # single large network: node-normalised empirical tail vs limit tail
         th_flags = ["--alpha", "0.45", "--beta", "0.1", "--p", "0.6",

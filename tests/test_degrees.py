@@ -1,9 +1,11 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import betaln, gammaln
 from scipy.stats import nbinom
 
 from hybridnet import (
@@ -19,8 +21,8 @@ from hybridnet import (
     nb_pmf,
     simulate,
 )
-from hybridnet.degrees import DegreeCounts
-from conftest import state_from_records
+from hybridnet.degrees import DegreeCounts, _limit_weights, _MixtureSeries
+from conftest import ORACLE_SETTINGS, state_from_records
 
 
 class TestDegreeCounts:
@@ -123,6 +125,57 @@ class TestNbPmf:
     )
     def test_matches_scipy(self, r, q, m):
         assert nb_pmf(r, q, m) == pytest.approx(float(nbinom.pmf(m, r, q)), rel=1e-9, abs=1e-300)
+
+
+def _series_parameters(params):
+    """``(r, rate)`` of the four series that ``limit_pmf`` sums: the degree-0
+    and degree-1 births of the in- and then the out-direction."""
+    _, in_w, out_w = _limit_weights(params)
+    return [(r, rate) for _, _, dt, rate in (in_w, out_w) for r in (dt, 1.0 + dt)]
+
+
+def _log_gamma_form(m, r, rate):
+    """The log-gamma/log-beta closed form that the ratio recurrence replaced."""
+    return rate * np.exp(gammaln(r + m) - gammaln(r) - gammaln(m + 1.0) + betaln(rate + r, m + 1.0))
+
+
+class TestMixtureSeries:
+    @pytest.mark.parametrize("name", ["table1", "node_heavy"])
+    def test_matches_log_gamma_form_over_the_truncation_range(self, name):
+        params = ORACLE_SETTINGS[name]
+        m_hi = limit_pmf(params).truncation_m  # 204,800 for Table-1, 200 for node-heavy
+        m = np.arange(m_hi + 1, dtype=float)
+        for r, rate in _series_parameters(params):
+            rel = np.abs(_MixtureSeries(r, rate).upto(m_hi) / _log_gamma_form(m, r, rate) - 1.0)
+            # measured with scipy 1.17: at most 2.9e-13 for m <= 200 and 1.22e-9
+            # up to m = 204,800, where the log-gamma terms reach 2.3e6 and
+            # their difference carries about eps * 2.3e6 (see the next test)
+            assert rel[:201].max() < 1e-12
+            assert rel.max() < 2.5e-9
+
+    def test_float_error_against_exact_arithmetic(self, table1_params):
+        # the same recurrence in 40-digit decimal arithmetic, from the same
+        # float inputs: the recurrence is within 7.7e-13 of it (measured) over
+        # the whole Table-1 range, so the difference above is log-gamma's
+        r, rate = _series_parameters(table1_params)[1]
+        m_hi = 204_800
+        with localcontext() as ctx:
+            ctx.prec = 40
+            r_exact, rate_exact = Decimal(r), Decimal(rate)
+            value = rate_exact / (rate_exact + r_exact)
+            exact = [value]
+            for m in range(m_hi):
+                value = value * (r_exact + m) / (rate_exact + r_exact + (m + 1))
+                exact.append(value)
+        exact = np.array([float(v) for v in exact])
+        assert np.abs(_MixtureSeries(r, rate).upto(m_hi) / exact - 1.0).max() < 2e-12
+
+    def test_growth_does_not_change_values(self):
+        grown = _MixtureSeries(2.5, 1.7)
+        for m_hi in (0, 1, 7, 200, 999):
+            grown.upto(m_hi)
+        assert np.array_equal(grown.upto(1000), _MixtureSeries(2.5, 1.7).upto(1000))
+        assert np.array_equal(grown.upto(300), _MixtureSeries(2.5, 1.7).upto(300))
 
 
 class TestLimitPmf:
