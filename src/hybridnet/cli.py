@@ -26,7 +26,7 @@ from .generator import (
     simulate,
     simulate_replicates,
 )
-from .io import export, parse_edge_file
+from .io import _export_format, _write_rows, export, parse_edge_file
 from .likelihood import replay
 from .model import EdgeLog, HybridParams, _end_stream, classify_edge_log
 
@@ -247,10 +247,16 @@ def cmd_table(args) -> int:
     estimates = replicate_estimates(
         config, args.replicates, methods, args.burn_in, args.iterations, args.thinning, args.workers
     )
-    lines = [SUMMARY_HEADER]
-    for method in methods:
-        lines += summary_lines(method, estimates[method], params)
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    rows = [
+        {"method": method, **row}
+        for method in methods
+        for row in summarize_estimates(estimates[method], params)
+    ]
+    header = SUMMARY_HEADER.split(",")
+    columns = [np.array([row[name] for row in rows]) for name in header[:2]]
+    columns += [np.array([row[name] for row in rows], dtype=float) for name in header[2:]]
+    out = Path(args.out)
+    _write_rows(columns, header, out, _export_format(out, None))
     print(f"wrote {args.out} ({args.replicates} replicates, methods: {args.methods})")
     return EXIT_OK
 
@@ -337,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--burn-in", type=int, default=10_000)
     pt.add_argument("--iterations", type=int, default=20_000)
     pt.add_argument("--thinning", type=int, default=500)
-    pt.add_argument("--out", required=True)
+    pt.add_argument("--out", required=True, help="JSON for a .json suffix, CSV otherwise")
     pt.set_defaults(func=cmd_table)
 
     pc = sub.add_parser("ccdf", help="empirical degree tail curve of an edge-list file")

@@ -36,7 +36,7 @@ from .likelihood import (
     log_likelihood,
     mle_scenarios,
 )
-from .model import HybridParams
+from .model import HybridParams, _row_blocks
 
 _PROB_EPS = 1e-9
 _DELTA_FLOOR = 1e-12  # lower bound of the offsets in the Newton search; HybridParams needs delta > 0
@@ -110,8 +110,9 @@ class Trace(Sequence):
     delta_out, with p clamped to [0, 1]) and ``log_posterior``.
 
     Indexing and iteration give ``TraceEntry`` rows, whose ``HybridParams``
-    is built and validated only when the row is accessed; a slice gives a
-    ``Trace`` of the sliced rows.
+    is built and validated only when the row is accessed; iteration
+    converts the columns ``model._ROW_BLOCK`` rows at a time.  A slice
+    gives a ``Trace`` of the sliced rows.
     """
 
     def __init__(self, iteration: np.ndarray, draws: np.ndarray, log_posterior: np.ndarray):
@@ -133,9 +134,8 @@ class Trace(Sequence):
         return TraceEntry(int(self.iteration[k]), _params_from_components(row), lp)
 
     def __iter__(self):
-        columns = (self.iteration.tolist(), self.draws.tolist(), self.log_posterior.tolist())
-        for t, row, lp in zip(*columns):
-            yield TraceEntry(t, _params_from_components(row), lp)
+        for t, rows, lp in _row_blocks((self.iteration, self.draws, self.log_posterior)):
+            yield from map(TraceEntry, t, map(_params_from_components, rows), lp)
 
     def __eq__(self, other):
         if not isinstance(other, Trace):

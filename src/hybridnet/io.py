@@ -14,7 +14,9 @@ byte-stable output for a fixed input: sorted keys, ``\\n`` newlines and
 numpy: the decimal digits of every column are computed by array arithmetic
 into one byte buffer, and a mask drops leading zeros, unused sign slots and
 absent scenario labels, so the text matches ``"%d"`` formatting for every
-int64 without building a Python int per value.
+int64 without building a Python int per value.  Rows of every other
+export are converted and written ``model._ROW_BLOCK`` at a time, so an
+export's memory does not grow with its length.
 """
 
 from __future__ import annotations
@@ -29,17 +31,9 @@ import numpy as np
 
 from .degrees import DegreeCounts, LimitPmf
 from .estimation import EstimationResult
-from .model import EdgeLog, _end_stream, _stable_order
+from .model import EdgeLog, _end_stream, _row_blocks, _stable_order
 
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
-
-
-def _cell(x) -> str:
-    if isinstance(x, bool):
-        raise TypeError("no boolean cells in exports")
-    if isinstance(x, int):
-        return str(x)
-    return format(float(x), ".17g")
 
 
 def parse_edge_file(path) -> EdgeLog:
@@ -221,28 +215,35 @@ def export(obj, path, format: str | None = None) -> None:
     other.  Edge logs are always plain edge-list text.
     """
     path = Path(path)
-    if format is None:
-        format = "json" if path.suffix.lower() == ".json" else "csv"
-    if format not in ("csv", "json"):
-        raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
+    format = _export_format(path, format)
     if isinstance(obj, EdgeLog):
         _write_edge_log(obj, path)
     elif isinstance(obj, DegreeCounts):
         degrees = sorted(set(obj.in_counts) | set(obj.out_counts))
-        rows = [(m, obj.in_counts.get(m, 0), obj.out_counts.get(m, 0)) for m in degrees]
-        _write_rows(rows, ("m", "n_in", "n_out"), path, format)
+        columns = [degrees, *([c.get(m, 0) for m in degrees] for c in (obj.in_counts, obj.out_counts))]
+        columns = [np.array(col, dtype=np.int64) for col in columns]
+        _write_rows(columns, ("m", "n_in", "n_out"), path, format)
     elif isinstance(obj, LimitPmf):
-        rows = [
-            (m, float(obj.psi_in[m]), float(obj.psi_out[m])) for m in range(obj.truncation_m + 1)
-        ]
-        _write_rows(rows, ("m", "psi_in", "psi_out"), path, format)
+        count = obj.truncation_m + 1
+        columns = [np.asarray(psi, dtype=float)[:count] for psi in (obj.psi_in, obj.psi_out)]
+        _write_rows([np.arange(count, dtype=np.int64), *columns], ("m", "psi_in", "psi_out"), path, format)
     elif isinstance(obj, EstimationResult):
         _write_trace(obj, path, format)
     elif isinstance(obj, (list, tuple)):
-        rows = [(int(m), float(v)) for m, v in obj]
-        _write_rows(rows, ("m", "value"), path, format)
+        columns = [np.array([int(m) for m, _ in obj], dtype=np.int64), np.array([float(v) for _, v in obj])]
+        _write_rows(columns, ("m", "value"), path, format)
     else:
         raise TypeError(f"no exporter for {type(obj).__name__}")
+
+
+def _export_format(path: Path, format: str | None) -> str:
+    """``format``, or by default the one the path names: ``json`` for a
+    ``.json`` suffix and ``csv`` for any other."""
+    if format is None:
+        format = "json" if path.suffix.lower() == ".json" else "csv"
+    if format not in ("csv", "json"):
+        raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
+    return format
 
 
 # Rows rendered per write: the digit buffer of one block is alive at a time.
@@ -322,19 +323,43 @@ def _digits(magnitude: np.ndarray, top: int, rows: np.ndarray) -> None:
         x = quotient
 
 
-def _write_rows(rows, header: Sequence[str], path: Path, format: str) -> None:
-    if format == "csv":
-        lines = [",".join(header)]
-        lines += [",".join(_cell(c) for c in row) for row in rows]
-        path.write_text("\n".join(lines) + "\n")
-    else:
-        payload = [dict(zip(header, row)) for row in rows]
-        path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+# the %-format of a CSV cell by dtype kind: "%d" gives str(int) and "%.17g"
+# format(x, ".17g"); there are no boolean cells
+_CELL_FORMATS = {"i": "%d", "f": "%.17g", "U": "%s"}
+
+
+def _write_rows(columns: Sequence[np.ndarray], header: Sequence[str], path: Path, format: str) -> None:
+    """Write the rows of ``columns``, one array per ``header`` name, as CSV
+    or JSON, ``model._ROW_BLOCK`` rows at a time.
+
+    A CSV block is one ``%``-format call over a line format built from the
+    columns' dtypes.  A JSON block is written as the inside of
+    ``json.dumps(rows, sort_keys=True, indent=2)``; those parts, joined by
+    ``",\\n"`` within ``"[\\n"`` and ``"\\n]"``, are the bytes of one such
+    call over all rows."""
+    formats = [_CELL_FORMATS.get(col.dtype.kind) for col in columns]
+    if None in formats:
+        raise TypeError(f"no export cells of dtype {columns[formats.index(None)].dtype}")
+    with path.open("w") as out:
+        if format == "csv":
+            out.write(",".join(header) + "\n")
+            line = ",".join(formats) + "\n"
+            width = len(columns)
+            for block in _row_blocks(columns):
+                cells = [None] * (width * len(block[0]))
+                for k, values in enumerate(block):
+                    cells[k::width] = values
+                out.write(line * len(block[0]) % tuple(cells))
+        else:
+            out.write("[")
+            for k, block in enumerate(_row_blocks(columns)):
+                rows = [dict(zip(header, row)) for row in zip(*block)]
+                out.write((",\n" if k else "\n") + json.dumps(rows, sort_keys=True, indent=2)[2:-2])
+            out.write("\n]\n" if len(columns[0]) else "]\n")
 
 
 def _write_trace(result: EstimationResult, path: Path, format: str) -> None:
     trace = result.trace
     if trace is None:
         raise ValueError("estimation result carries no trace")
-    columns = (trace.iteration, *trace.draws.T, trace.log_posterior)
-    _write_rows(zip(*(column.tolist() for column in columns)), TRACE_HEADER, path, format)
+    _write_rows([trace.iteration, *trace.draws.T, trace.log_posterior], TRACE_HEADER, path, format)

@@ -20,6 +20,7 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 _SIMPLEX_TOL = 1e-12
+_ROW_BLOCK = 4096  # rows converted to Python values at a time by iteration and exports
 
 
 class EdgeRecord(NamedTuple):
@@ -196,7 +197,8 @@ class EdgeLog:
     from the columns with :meth:`from_columns`; ``EdgeLog(records)`` builds
     one from :class:`EdgeRecord` rows and rejects integers outside int64.
     ``len``, iteration, integer indexing and :attr:`records` present the rows
-    as ``EdgeRecord`` values, with scenario ``None`` for 0.
+    as ``EdgeRecord`` values, with scenario ``None`` for 0; iteration
+    converts the columns ``_ROW_BLOCK`` rows at a time.
     """
 
     __slots__ = ("source", "target", "time", "scenario")
@@ -240,9 +242,8 @@ class EdgeLog:
         return int(self.time.shape[0])
 
     def __iter__(self) -> Iterator[EdgeRecord]:
-        columns = (self.source, self.target, self.time, self.scenario)
-        for s, t, tm, sc in zip(*(col.tolist() for col in columns)):
-            yield EdgeRecord(s, t, tm, sc or None)
+        for s, t, tm, sc in _row_blocks((self.source, self.target, self.time, self.scenario)):
+            yield from map(EdgeRecord, s, t, tm, [label or None for label in sc])
 
     def __getitem__(self, idx: int) -> EdgeRecord:
         sc = int(self.scenario[idx])
@@ -259,6 +260,14 @@ class EdgeLog:
     @property
     def records(self) -> list[EdgeRecord]:
         return list(self)
+
+
+def _row_blocks(columns) -> Iterator[list[list]]:
+    """The columns' values as Python lists, ``_ROW_BLOCK`` rows at a time, so
+    that no more than one block of each column is converted at once; a 2-d
+    column gives a list of row lists."""
+    for lo in range(0, len(columns[0]), _ROW_BLOCK):
+        yield [col[lo : lo + _ROW_BLOCK].tolist() for col in columns]
 
 
 def _check_node(state: NetworkState, node: int) -> None:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from hybridnet import (
     simulate,
     step_distribution,
 )
+from hybridnet.degrees import DegreeCounts, LimitPmf
 from hybridnet.estimation import (
     _ADAPT_POINTS,
     _INITIAL_STEPS,
@@ -26,7 +28,7 @@ from hybridnet.estimation import (
     _scenario_block,
     accept_probability,
 )
-from hybridnet.io import TRACE_HEADER, _write_rows
+from hybridnet.io import TRACE_HEADER
 from hybridnet.likelihood import _kernel_log_likelihood, _kernel_upper_bound, log_likelihood
 
 
@@ -356,6 +358,50 @@ def reference_fit_mh(stats, config):
     )
 
 
+def _reference_cell(x) -> str:
+    if isinstance(x, bool):
+        raise TypeError("no boolean cells in exports")
+    if isinstance(x, int):
+        return str(x)
+    return format(float(x), ".17g")
+
+
+def reference_write_rows(rows, header, path, format):
+    """The per-cell writer of whole row lists that the block writer
+    ``io._write_rows`` replaced, kept as the byte oracle of every row
+    export: CSV cells by ``str`` and ``format(x, ".17g")``, JSON as one
+    ``json.dumps`` of all rows."""
+    if format == "csv":
+        lines = [",".join(header)]
+        lines += [",".join(_reference_cell(c) for c in row) for row in rows]
+        path.write_text("\n".join(lines) + "\n")
+    else:
+        payload = [dict(zip(header, row)) for row in rows]
+        path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+def reference_export(obj, path, format):
+    """The row lists that ``io.export`` built for curves, ``DegreeCounts``,
+    ``LimitPmf`` and sampler traces before it passed columns, written by
+    ``reference_write_rows``: the byte oracle of those exports."""
+    if isinstance(obj, EstimationResult):
+        reference_write_trace(obj, path, format)
+        return
+    if isinstance(obj, DegreeCounts):
+        degrees = sorted(set(obj.in_counts) | set(obj.out_counts))
+        rows = [(m, obj.in_counts.get(m, 0), obj.out_counts.get(m, 0)) for m in degrees]
+        header = ("m", "n_in", "n_out")
+    elif isinstance(obj, LimitPmf):
+        rows = [
+            (m, float(obj.psi_in[m]), float(obj.psi_out[m])) for m in range(obj.truncation_m + 1)
+        ]
+        header = ("m", "psi_in", "psi_out")
+    else:
+        rows = [(int(m), float(v)) for m, v in obj]
+        header = ("m", "value")
+    reference_write_rows(rows, header, path, format)
+
+
 def reference_write_trace(result, path, format):
     """The loop over ``TraceEntry`` rows that ``io._write_trace`` replaced,
     kept as the byte oracle of the trace export."""
@@ -376,7 +422,7 @@ def reference_write_trace(result, path, format):
                 entry.log_posterior,
             )
         )
-    _write_rows(rows, TRACE_HEADER, path, format)
+    reference_write_rows(rows, TRACE_HEADER, path, format)
 
 
 def reference_replay(log, seeded=True):

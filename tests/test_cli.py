@@ -20,7 +20,15 @@ from hybridnet import (
     simulate,
     simulate_replicates,
 )
-from hybridnet.cli import FIXED_START, main, sampler_seed, summarize_estimates
+from hybridnet.cli import (
+    FIXED_START,
+    SUMMARY_HEADER,
+    main,
+    replicate_estimates,
+    sampler_seed,
+    summarize_estimates,
+    summary_lines,
+)
 from hybridnet.degrees import degree_counts_from_arrays
 from hybridnet.model import HybridParams
 
@@ -273,6 +281,30 @@ class TestTableCommand:
                 for r in summarize_estimates(estimates, truth)
             ]
         assert out.read_text() == "\n".join(lines) + "\n"
+
+    def test_out_format_follows_suffix(self, tmp_path):
+        """CSV for any suffix but .json: the bytes of ``SUMMARY_HEADER`` and
+        ``summary_lines``; JSON for .json: one object per CSV row."""
+        chain = ["--burn-in", "100", "--iterations", "200", "--thinning", "10"]
+        flags = [*TABLE1, "--n", "600", "--replicates", "2", "--seed", "3", "--methods", "nm,mh", *chain]
+        for name in ("t.csv", "t.json", "t.txt"):
+            assert run(["table", *flags, "--out", str(tmp_path / name)]) == 0
+        truth = HybridParams.fill_gamma(0.1, 0.8, p=0.8, delta_in=1.3, delta_out=0.7)
+        config = SimulationConfig(params=truth, n_edges=600, seed=3)
+        estimates = replicate_estimates(config, 2, ["nm", "mh"], 100, 200, 10)
+        lines = [SUMMARY_HEADER]
+        for method in ("nm", "mh"):
+            lines += summary_lines(method, estimates[method], truth)
+        assert (tmp_path / "t.csv").read_text() == "\n".join(lines) + "\n"
+        assert (tmp_path / "t.txt").read_bytes() == (tmp_path / "t.csv").read_bytes()
+        rows = [
+            {"method": method, **row}
+            for method in ("nm", "mh")
+            for row in summarize_estimates(estimates[method], truth)
+        ]
+        text = (tmp_path / "t.json").read_text()
+        assert text == json.dumps(rows, sort_keys=True, indent=2) + "\n"
+        assert [list(row) for row in json.loads(text)] == [sorted(SUMMARY_HEADER.split(","))] * 16
 
     def test_unknown_method_fails_before_simulating(self, tmp_path, monkeypatch):
         import hybridnet.cli as cli

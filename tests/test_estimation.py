@@ -32,7 +32,8 @@ from hybridnet import (
     window,
 )
 from hybridnet import cli, estimation
-from hybridnet.estimation import Trace, _params_from_components
+from hybridnet.estimation import Trace, TraceEntry, _params_from_components
+from hybridnet.model import _ROW_BLOCK
 from conftest import (
     ORACLE_SETTINGS,
     effective_sample_size,
@@ -485,6 +486,18 @@ class TestTrace:
         assert clamped.draws[:2, 5].tolist() == [0.0, 1.0]
         assert [e.params.p for e in clamped][:2] == [0.0, 1.0]
         assert draws[0, 5] == -0.25  # the caller's array is not written
+
+    @pytest.mark.parametrize("n", [0, 1, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 3 * _ROW_BLOCK + 5])
+    def test_rows_across_block_boundaries(self, n):
+        rng = np.random.default_rng(n)
+        draws = np.hstack([rng.dirichlet(np.ones(5), n), rng.random((n, 1)), rng.exponential(size=(n, 2))])
+        trace = Trace(3 + 7 * np.arange(n), draws, rng.normal(size=n))
+        # the rows of one tolist() of every whole column
+        columns = (trace.iteration.tolist(), trace.draws.tolist(), trace.log_posterior.tolist())
+        whole = [TraceEntry(t, _params_from_components(row), lp) for t, row, lp in zip(*columns)]
+        rows = list(trace)
+        assert rows == whole
+        assert all(type(e.iteration) is int and type(e.log_posterior) is float for e in rows)
 
 
 class TestFactorisedSampler:

@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 from dataclasses import replace
 import warnings
 
@@ -23,8 +24,16 @@ from hybridnet import (
     simulate,
     window,
 )
-from hybridnet.io import TRACE_HEADER, _fast_columns, _line_columns, _stamp
-from conftest import log_from_pairs, reference_write_edge_log, reference_write_trace
+from hybridnet.degrees import DegreeCounts, LimitPmf
+from hybridnet.estimation import EstimationResult, Trace
+from hybridnet.io import TRACE_HEADER, _fast_columns, _line_columns, _stamp, _write_rows
+from hybridnet.model import _ROW_BLOCK
+from conftest import (
+    log_from_pairs,
+    reference_export,
+    reference_write_edge_log,
+    reference_write_trace,
+)
 
 
 class TestParse:
@@ -428,6 +437,103 @@ class TestTraceExport:
         result = fit_nelder_mead(replay(log), NelderMeadConfig(initial_point=start))
         with pytest.raises(ValueError, match="no trace"):
             export(result, tmp_path / "trace.csv")
+
+
+def assert_oracle_bytes(obj, directory):
+    """``export`` writes the bytes of the per-cell row-list oracle, as CSV and JSON."""
+    for format in ("csv", "json"):
+        path, oracle = directory / f"rows.{format}", directory / f"oracle.{format}"
+        export(obj, path, format=format)
+        reference_export(obj, oracle, format)
+        assert path.read_bytes() == oracle.read_bytes(), (type(obj).__name__, format)
+
+
+def random_trace_result(rng, n, log_posterior=None):
+    """A result whose trace holds ``n`` valid random draws."""
+    draws = np.hstack([rng.dirichlet(np.ones(5), n), rng.random((n, 1)), rng.exponential(size=(n, 2))])
+    if log_posterior is None:
+        log_posterior = rng.normal(scale=1e3, size=n)
+    trace = Trace(100 + 3 * np.arange(n), draws, log_posterior)
+    point = HybridParams.fill_gamma(0.1, 0.8, p=0.8, delta_in=1.3, delta_out=0.7)
+    return EstimationResult(point=point, converged=True, log_likelihood=0.0, trace=trace)
+
+
+class TestRowBlocks:
+    """Row exports, written block by block, against the per-cell writer of
+    whole row lists that they replaced."""
+
+    def test_table1_limit_pmf_at_full_truncation(self, tmp_path, table1_params):
+        pmf = limit_pmf(table1_params)
+        assert pmf.truncation_m == 204_800
+        assert_oracle_bytes(pmf, tmp_path)
+
+    def test_ccdf_curves_and_degree_counts(self, tmp_path, table1_params):
+        state, _ = simulate(SimulationConfig(params=table1_params, n_edges=50_000, seed=6))
+        counts = degree_counts(state)
+        for obj in (counts, ccdf(counts, "in"), ccdf(counts, "out")):
+            assert_oracle_bytes(obj, tmp_path)
+
+    def test_sampler_trace(self, tmp_path, table1_params):
+        from hybridnet import MhConfig, fit_mh
+
+        _, log = simulate(SimulationConfig(params=table1_params, n_edges=2000, seed=8))
+        config = MhConfig(burn_in=100, iterations=2 * _ROW_BLOCK + 1, thinning=1, seed=8)
+        assert_oracle_bytes(fit_mh(replay(log), config), tmp_path)
+
+    @pytest.mark.parametrize("n", [0, 1, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1])
+    def test_block_boundary_sizes(self, tmp_path, table1_params, n):
+        rng = np.random.default_rng(n)
+        curve = list(zip(range(n), rng.random(n).tolist()))
+        counts = DegreeCounts(
+            in_counts=dict(zip(range(n), rng.integers(0, 10**12, n).tolist())),
+            out_counts=dict(zip(range(0, 2 * n, 2), rng.integers(0, 50, n).tolist())),
+            n_nodes=1,
+            n_edges=1,
+        )
+        pmf = LimitPmf(rng.random(n + 3), rng.random(n + 3), n - 1, table1_params)
+        for obj in (curve, counts, pmf, random_trace_result(rng, n)):
+            assert_oracle_bytes(obj, tmp_path)
+
+    def test_extreme_cells(self, tmp_path, table1_params):
+        values = [-0.0, 5e-324, 1e308, -5e-324, -1e308, 0.1, np.inf, -np.inf, np.nan]
+        n = len(values)
+        assert_oracle_bytes(list(enumerate(values)), tmp_path)
+        pmf = LimitPmf(np.array(values), np.array(values[::-1]), n - 1, table1_params)
+        assert_oracle_bytes(pmf, tmp_path)
+        assert_oracle_bytes(random_trace_result(np.random.default_rng(0), n, values), tmp_path)
+        export(pmf, tmp_path / "pmf.csv")
+        assert tmp_path.joinpath("pmf.csv").read_text().splitlines()[1:4] == [
+            "0,-0,nan", "1,4.9406564584124654e-324,-inf", "2,1e+308,inf"
+        ]
+
+    def test_boolean_cells_rejected(self, tmp_path):
+        with pytest.raises(TypeError, match="dtype bool"):
+            _write_rows([np.arange(2), np.array([True, False])], ("m", "flag"), tmp_path / "x.csv", "csv")
+
+
+class TestExportMemory:
+    @staticmethod
+    def export_peak(obj, path):
+        tracemalloc.start()
+        try:
+            export(obj, path)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_table1_limit_pmf_csv(self, tmp_path, table1_params):
+        pmf = limit_pmf(table1_params)  # 204,801 rows
+        peak = self.export_peak(pmf, tmp_path / "pmf.csv")
+        # measured 2.6 MB; the writer of whole row lists peaks at 74.7 MB
+        assert peak < 6_000_000, peak
+
+    def test_table1_limit_pmf_json(self, tmp_path, table1_params):
+        # the first 40,001 rows: JSON is encoded in Python, five times slower than CSV
+        pmf = limit_pmf(table1_params)
+        head = LimitPmf(pmf.psi_in[:40_001], pmf.psi_out[:40_001], 40_000, table1_params)
+        peak = self.export_peak(head, tmp_path / "pmf.json")
+        # measured 4.7 MB; one json.dumps of all rows peaks at 43.8 MB
+        assert peak < 10_000_000, peak
 
 
 @settings(max_examples=30, deadline=None)
