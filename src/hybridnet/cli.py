@@ -28,7 +28,7 @@ from .generator import (
 )
 from .io import _export_format, _write_rows, export, parse_edge_file
 from .likelihood import replay
-from .model import EdgeLog, HybridParams, _end_stream, classify_edge_log
+from .model import EdgeLog, HybridParams, _end_stream, _novelty_pass
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -289,7 +289,7 @@ def cmd_limit_pmf(args) -> int:
 
 def cmd_classify(args) -> int:
     log = parse_edge_file(args.input)
-    labels = np.array(classify_edge_log(log, seeded=not args.unseeded), dtype=np.int8)
+    labels = _novelty_pass(log, seeded=not args.unseeded).scenario
     export(EdgeLog.from_columns(log.source, log.target, log.time, labels), Path(args.out))
     counts = {sc: int(c) for sc, c in enumerate(np.bincount(labels, minlength=6)) if c}
     print(f"wrote labeled log to {args.out}; scenario counts: {counts}")

@@ -13,7 +13,6 @@ any worker count.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -254,6 +253,9 @@ def _map_replicates(fn, config: SimulationConfig, r: int, worker_count: int, *pe
     configs = [replace(config, seed=s) for s in replicate_seeds(config.seed, r)]
     if worker_count == 1:
         return list(map(fn, configs, *per_replicate))
+    # imported here: the pool's modules are slow to import and most runs need none
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = max(1, r // (4 * worker_count))
     with ProcessPoolExecutor(max_workers=worker_count) as pool:
         return list(pool.map(fn, configs, *per_replicate, chunksize=chunk))

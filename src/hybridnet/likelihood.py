@@ -175,10 +175,13 @@ def replay(log: EdgeLog, seeded: bool = True) -> SufficientStats:
     novelty = _novelty_pass(log, seeded, check_order=True)
     node_count, in_degree, out_degree = _counts_before(log, novelty, seeded)
     scenario = novelty.scenario
+    del novelty  # the endpoint stream
+    in_degree[scenario > 2] = -1
+    out_degree[(scenario != 2) & (scenario != 3)] = -1
     return SufficientStats(
         scenario=scenario,
-        target_in_degree=np.where(scenario <= 2, in_degree, -1),
-        source_out_degree=np.where((scenario == 2) | (scenario == 3), out_degree, -1),
+        target_in_degree=in_degree,
+        source_out_degree=out_degree,
         node_count=node_count,
         # the degree mass before each step: the seed edge plus the earlier records
         mass=np.arange(len(scenario), dtype=np.int64) + (1 if seeded else 0),

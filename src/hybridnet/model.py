@@ -392,19 +392,35 @@ def _stable_order(keys: np.ndarray) -> np.ndarray:
         return np.argsort((keys - low).astype(np.uint16), kind="stable")
     shifted = (keys - low).astype(np.uint32)
     order = np.argsort(shifted.astype(np.uint16), kind="stable")  # the low halves
-    high = (shifted >> 16).astype(np.uint16)[order]
+    high = np.right_shift(shifted, 16, out=shifted).astype(np.uint16)
+    del shifted  # freed before the second pass
+    high = high[order]
     return order[np.argsort(high, kind="stable")]
 
 
+def _index_dtype(size: int) -> type:
+    """The dtype of positions into an array of ``size`` entries: int32
+    while they fit it, int64 beyond."""
+    return np.int32 if size < 1 << 31 else np.int64
+
+
 def _end_stream(source: np.ndarray, target: np.ndarray) -> _EndStream:
+    """Sort the endpoint stream once.  ``order``, ``group`` and ``start``
+    hold stream positions, in the stream's index dtype (``_index_dtype``);
+    ``ranked`` holds node ids, as int64.  Each temporary is freed once read,
+    so that the pass holds few stream-length arrays at once."""
     ends = np.empty(2 * source.shape[0], dtype=np.int64)
     ends[0::2] = source
     ends[1::2] = target
-    order = _stable_order(ends)  # equal ids keep stream order
+    idx = _index_dtype(ends.shape[0])
+    order = _stable_order(ends).astype(idx, copy=False)  # equal ids keep stream order
     ranked = ends[order]
+    del ends
     head = np.ones(ranked.shape, dtype=bool)
-    head[1:] = ranked[1:] != ranked[:-1]
-    return _EndStream(order, ranked, np.cumsum(head) - 1, np.flatnonzero(head))
+    np.not_equal(ranked[1:], ranked[:-1], out=head[1:])
+    group = np.cumsum(head, dtype=idx)
+    group -= 1
+    return _EndStream(order, ranked, group, np.flatnonzero(head).astype(idx, copy=False))
 
 
 class _Novelty(NamedTuple):
@@ -455,17 +471,26 @@ def _counts_before(
     n = len(log)
     node_count = np.zeros(n, dtype=np.int64)
     np.cumsum((fresh[0::2] + fresh[1::2].astype(np.int64))[:-1], out=node_count[1:])
-    # Per sorted entry: the index where its id's entries start, and how many
-    # earlier entries of its id are targets (odd stream positions).
-    first = start[group]
+    # Per sorted entry: how many earlier entries of its id are targets (odd
+    # stream positions).  ``targets[start][group]`` is the count before the
+    # entry's id starts.
     is_target = order & 1
-    targets = np.cumsum(is_target) - is_target
-    targets -= targets[first]
+    targets = np.cumsum(is_target, dtype=order.dtype)
+    targets -= is_target
+    del is_target
+    targets -= targets[start][group]
     rank = np.empty_like(order)  # the sorted index of every stream position
-    rank[order] = np.arange(2 * n)
+    rank[order] = np.arange(2 * n, dtype=order.dtype)
+    src_rank = rank[0::2].copy()
     in_degree = targets[rank[1::2]]
-    src_rank = rank[0::2]
-    out_degree = src_rank - first[src_rank] - targets[src_rank]
+    del rank
+    # the source's earlier entries of its id, less those that are targets
+    before = start[group[src_rank]]
+    before += targets[src_rank]
+    del targets
+    src_rank -= before
+    del before
+    in_degree, out_degree = in_degree.astype(np.int64), src_rank.astype(np.int64)
     if seeded:
         node_count += 1
         in_degree += log.target == 1

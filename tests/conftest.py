@@ -471,6 +471,21 @@ def reference_replay(log, seeded=True):
     )
 
 
+def reference_end_stream(source, target):
+    """The endpoint-stream sort as int64 arrays throughout, by one
+    ``np.argsort(kind="stable")``: the construction ``model._end_stream``
+    replaced, kept as its oracle (the fields ``order``, ``ranked``,
+    ``group`` and ``start``)."""
+    ends = np.empty(2 * len(source), dtype=np.int64)
+    ends[0::2] = source
+    ends[1::2] = target
+    order = np.argsort(ends, kind="stable")
+    ranked = ends[order]
+    head = np.ones(ranked.shape, dtype=bool)
+    head[1:] = ranked[1:] != ranked[:-1]
+    return order, ranked, np.cumsum(head) - 1, np.flatnonzero(head)
+
+
 def _reference_direction_arrays(stats, scenarios, degree):
     sel = (stats.scenario == scenarios[0]) | (stats.scenario == scenarios[1])
     d = degree[sel].astype(float)

@@ -47,6 +47,17 @@ def test_package_import_loads_no_scipy_optimize_or_special():
     assert json.loads(out) == []
 
 
+def test_package_import_loads_no_process_pool():
+    # the pool's modules load only when a run asks for more than one worker
+    out = _run(
+        "import json, sys\n"
+        "import hybridnet, hybridnet.cli\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "    if m.split('.')[0] == 'multiprocessing' or m == 'concurrent.futures.process')))\n"
+    )
+    assert json.loads(out) == []
+
+
 def test_runtime_runs_with_scipy_blocked(tmp_path):
     # with None in sys.modules, any import of scipy or a submodule raises
     # ImportError, which no CLI command catches

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from functools import cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hybridnet import (
@@ -33,10 +34,12 @@ from hybridnet.likelihood import (
     _kernel_log_likelihood,
     _kernel_upper_bound,
 )
+from hybridnet.model import _end_stream, _index_dtype
 from conftest import (
     ORACLE_SETTINGS,
     enumerate_histories,
     log_from_pairs,
+    reference_end_stream,
     reference_kernel_log_likelihood,
     reference_replay,
     reference_score,
@@ -204,6 +207,79 @@ class TestReplay:
         assert (stats.source_out_degree[sel] >= 0).all()
         assert (np.diff(stats.node_count) >= 0).all()
         assert (np.diff(stats.mass) == 1).all()
+
+
+@st.composite
+def _endpoint_columns(draw):
+    """Source and target columns drawn from a few ids (heavy ties), whose
+    span takes the endpoint ordering's one-pass radix path, its two-pass
+    one or its comparison-sort fallback, from ids near 1, at 2**32 or near
+    the int64 maximum."""
+    low = draw(st.sampled_from([1, 2**32, 2**62]))
+    span = draw(st.sampled_from([2**8, 2**16, 2**32, 2**40]))
+    pool = [low, low + span, *draw(st.lists(st.integers(low, low + span), max_size=6))]
+    pairs = draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool)), max_size=200))
+    return [s for s, _ in pairs], [t for _, t in pairs]
+
+
+class TestEndStream:
+    @settings(max_examples=200, deadline=None)
+    @given(columns=_endpoint_columns())
+    @example(columns=([], []))
+    @example(columns=([7], [7]))
+    @example(columns=([3] * 60, [3] * 60))
+    @example(columns=([2**32, 2**40 + 5, 2**32], [2**32 + 1, 2**32, 2**63 - 1]))
+    def test_equals_int64_stable_argsort(self, columns):
+        source, target = (np.array(col, dtype=np.int64) for col in columns)
+        stream = _end_stream(source, target)
+        for name, got, expected in zip(stream._fields, stream, reference_end_stream(source, target)):
+            assert np.array_equal(got, expected), name
+        # positions in int32, node ids in int64
+        assert stream.order.dtype == stream.group.dtype == stream.start.dtype == np.int32
+        assert stream.ranked.dtype == np.int64
+
+    def test_index_dtype_widens_past_int32(self):
+        assert _index_dtype(2**31 - 1) is np.int32
+        assert _index_dtype(2**31) is np.int64
+
+
+def _traced_peak(fn, *args):
+    """``fn(*args)`` and its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestReplayMemory:
+    """Peaks of the endpoint-stream passes on the 300k-record Table-1 log
+    of the ingest benchmark.  Each bound was set once from measurement
+    (Python 3.11, numpy 2.4); the int64 passes that kept every
+    stream-length array alive to the end need about twice as much."""
+
+    @pytest.fixture(scope="class")
+    def log(self):
+        params = HybridParams.fill_gamma(0.1, 0.8, p=0.8, delta_in=1.3, delta_out=0.7)
+        return simulate(SimulationConfig(params=params, n_edges=300_000, seed=1)).log
+
+    def test_replay(self, log):
+        replay(log)  # warm caches
+        stats, peak = _traced_peak(replay, log)
+        output = sum(
+            getattr(stats, name).nbytes
+            for name in ("scenario", "target_in_degree", "source_out_degree", "node_count", "mass")
+        )
+        # measured 10.5 MB above the 9.9 MB output; the int64 passes need 34.7 MB
+        assert peak - output < 15_000_000, (peak, output)
+
+    def test_classify_edge_log(self, log):
+        classify_edge_log(log)  # warm caches
+        _, peak = _traced_peak(classify_edge_log, log)
+        # measured 12.6 MB, the returned list included; the int64 passes need 24.6 MB
+        assert peak < 17_000_000, peak
 
 
 class TestLogLikelihood:
