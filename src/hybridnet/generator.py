@@ -245,17 +245,63 @@ def simulate_replicates(
 def _map_replicates(fn, config: SimulationConfig, r: int, worker_count: int, *per_replicate) -> list:
     """``[fn(config_k, *args_k) for k in range(r)]``: ``config_k`` is ``config``
     under the ``k``-th derived seed and ``args_k`` the ``k``-th items of
-    ``per_replicate``.  One worker runs them in this process, more in a pool."""
+    ``per_replicate``.  One worker runs them in this process; more run in a
+    pool of at most ``r`` processes, whose results come back through files
+    (:func:`_result_to_file`) in one temporary directory per call."""
     if r < 1:
         raise ValueError(f"replicate count must be >= 1, got {r}")
     if worker_count < 1:
         raise ValueError(f"worker count must be >= 1, got {worker_count}")
     configs = [replace(config, seed=s) for s in replicate_seeds(config.seed, r)]
-    if worker_count == 1:
+    workers = min(worker_count, r)
+    if workers == 1:
         return list(map(fn, configs, *per_replicate))
     # imported here: the pool's modules are slow to import and most runs need none
+    import os
+    import tempfile
     from concurrent.futures import ProcessPoolExecutor
+    from functools import partial
 
-    chunk = max(1, r // (4 * worker_count))
-    with ProcessPoolExecutor(max_workers=worker_count) as pool:
-        return list(pool.map(fn, configs, *per_replicate, chunksize=chunk))
+    chunk = max(1, r // (4 * workers))
+    with tempfile.TemporaryDirectory() as tmp, ProcessPoolExecutor(max_workers=workers) as pool:
+        paths = [os.path.join(tmp, str(k)) for k in range(r)]
+        sent = pool.map(partial(_result_to_file, fn), paths, configs, *per_replicate, chunksize=chunk)
+        return [_result_from_file(path, *reply) for path, reply in zip(paths, sent)]
+
+
+def _result_to_file(fn, path: str, *args) -> tuple[bytes, list[tuple[int, int]]]:
+    """Run ``fn(*args)`` in a pool worker and pickle the result with its
+    out-of-band buffers (the arrays' data) written to the file ``path``, each
+    at a 64-byte-aligned offset.  Returns the pickle and every buffer's
+    ``(offset, size)``; a result without buffers writes no file."""
+    import pickle
+
+    buffers = []
+    payload = pickle.dumps(fn(*args), protocol=5, buffer_callback=buffers.append)
+    spans = []
+    if buffers:
+        with open(path, "wb") as out:
+            for buffer in buffers:
+                data = buffer.raw()
+                out.seek(-(-out.tell() // 64) * 64)
+                spans.append((out.tell(), data.nbytes))
+                out.write(data)
+    return payload, spans
+
+
+def _result_from_file(path: str, payload: bytes, spans: list[tuple[int, int]]):
+    """The result that :func:`_result_to_file` sent: its file is mapped
+    copy-on-write, so its arrays are views of the mapping and writable, and
+    unlinked at once; the mapping is released with the last of those arrays."""
+    import mmap
+    import os
+    import pickle
+
+    if not spans:
+        return pickle.loads(payload)
+    with open(path, "rb") as file:
+        size = os.fstat(file.fileno()).st_size
+        # a zero-length mmap raises: a file of empty buffers maps nothing
+        view = memoryview(mmap.mmap(file.fileno(), size, access=mmap.ACCESS_COPY) if size else b"")
+    os.unlink(path)
+    return pickle.loads(payload, buffers=[view[o : o + n] if n else bytearray() for o, n in spans])

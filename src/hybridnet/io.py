@@ -332,30 +332,41 @@ def _write_rows(columns: Sequence[np.ndarray], header: Sequence[str], path: Path
     """Write the rows of ``columns``, one array per ``header`` name, as CSV
     or JSON, ``model._ROW_BLOCK`` rows at a time.
 
-    A CSV block is one ``%``-format call over a line format built from the
-    columns' dtypes.  A JSON block is written as the inside of
-    ``json.dumps(rows, sort_keys=True, indent=2)``; those parts, joined by
-    ``",\\n"`` within ``"[\\n"`` and ``"\\n]"``, are the bytes of one such
-    call over all rows."""
+    Each block is one ``%``-format call over a row format.  A CSV row is
+    the columns' cell formats.  The JSON text is the bytes of
+    ``json.dumps(rows, sort_keys=True, indent=2)`` over the rows as dicts:
+    its row format holds the sorted keys, and its cells are each column's
+    tokens from the C encoder (``indent`` would select the pure-Python one),
+    which renders numbers and strings the same way."""
     formats = [_CELL_FORMATS.get(col.dtype.kind) for col in columns]
     if None in formats:
         raise TypeError(f"no export cells of dtype {columns[formats.index(None)].dtype}")
+    if format == "csv":
+        head, row, sep, tail = ",".join(header) + "\n", ",".join(formats) + "\n", "", ""
+        cell_blocks = _row_blocks(columns)
+    else:
+        # the dict's keys in sort order, each with the column it holds last
+        keys = sorted(dict(zip(header, range(len(header)))).items())
+        fields = ",\n".join(f"    {json.dumps(key).replace('%', '%%')}: %s" for key, _ in keys)
+        head, row, sep, tail = "[\n", f"  {{\n{fields}\n  }}", ",\n", "\n]\n"
+        cell_blocks = ([_json_tokens(block[k]) for _, k in keys] for block in _row_blocks(columns))
+        if not len(columns[0]):
+            head, tail = "[", "]\n"
     with path.open("w") as out:
-        if format == "csv":
-            out.write(",".join(header) + "\n")
-            line = ",".join(formats) + "\n"
-            width = len(columns)
-            for block in _row_blocks(columns):
-                cells = [None] * (width * len(block[0]))
-                for k, values in enumerate(block):
-                    cells[k::width] = values
-                out.write(line * len(block[0]) % tuple(cells))
-        else:
-            out.write("[")
-            for k, block in enumerate(_row_blocks(columns)):
-                rows = [dict(zip(header, row)) for row in zip(*block)]
-                out.write((",\n" if k else "\n") + json.dumps(rows, sort_keys=True, indent=2)[2:-2])
-            out.write("\n]\n" if len(columns[0]) else "]\n")
+        out.write(head)
+        for k, block in enumerate(cell_blocks):
+            width = len(block)
+            cells = [None] * (width * len(block[0]))
+            for j, values in enumerate(block):
+                cells[j::width] = values
+            out.write((sep if k else "") + sep.join([row] * len(block[0])) % tuple(cells))
+        out.write(tail)
+
+
+def _json_tokens(values: list) -> list[str]:
+    """The JSON text of each value, from one C-encoder call whose item
+    separator is a newline, which no token holds (strings escape it)."""
+    return json.dumps(values, separators=("\n", ":"))[1:-1].split("\n")
 
 
 def _write_trace(result: EstimationResult, path: Path, format: str) -> None:

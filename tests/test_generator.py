@@ -1,7 +1,11 @@
+import gc
 import math
+import pickle
+import tempfile
 import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from hybridnet import (
@@ -11,6 +15,7 @@ from hybridnet import (
     simulate,
     simulate_replicates,
 )
+from hybridnet.generator import _map_replicates, _result_to_file
 from conftest import ORACLE_SETTINGS, enumerate_histories, reference_simulate
 
 
@@ -106,6 +111,87 @@ class TestReplicates:
     def test_replicate_count_validated(self, base_params):
         with pytest.raises(ValueError, match="replicate count"):
             simulate_replicates(SimulationConfig(params=base_params, n_edges=10), 0)
+
+
+def _log_first(config):
+    """A simulation output with the log first, so that the int8 scenario
+    buffer of an odd-length log comes before the state's int64 arrays."""
+    state, log = simulate(config)
+    return log, state
+
+
+def _with_empty_arrays(config):
+    return np.empty(0), np.arange(config.n_edges % 7), np.empty((0, 3), dtype=np.int8)
+
+
+def _only_empty_arrays(config):
+    return [np.empty(0, dtype=np.int64)]
+
+
+def _fail_on_second(config, k):
+    if k == 1:
+        raise RuntimeError("replicate 1 failed")
+    return simulate(config)
+
+
+def _arrays(result):
+    """Every array of a ``_log_first`` result."""
+    log, state = result
+    return [log.source, log.target, log.time, log.scenario,
+            state.in_degree, state.out_degree, state.creation_step]
+
+
+class TestPoolTransport:
+    """Pool results come back as pickles whose arrays are mapped from a file
+    in a temporary directory of the call's own."""
+
+    # odd, so that the int8 scenario buffer ends off an 8-byte boundary
+    N_EDGES = 2001
+
+    @pytest.fixture(autouse=True)
+    def private_tempdir(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        yield
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.fixture
+    def config(self, base_params):
+        return SimulationConfig(params=base_params, n_edges=self.N_EDGES, seed=17)
+
+    def test_results_equal_serial_ones(self, config):
+        serial = _map_replicates(_log_first, config, 3, 1)
+        pooled = _map_replicates(_log_first, config, 3, 2)
+        assert pooled == serial
+        for result in pooled:
+            for array in _arrays(result):
+                assert array.flags.writeable and array.flags.aligned
+        pooled[0][0].source[0] = -1  # a write stays in this process's copy
+        assert pooled[0][0].source[0] == -1
+
+    def test_results_outlive_collection_and_pickle(self, config):
+        serial = _map_replicates(_log_first, config, 2, 1)
+        pooled = _map_replicates(_log_first, config, 2, 2)
+        gc.collect()
+        assert pooled == serial
+        assert pickle.loads(pickle.dumps(pooled)) == serial
+
+    def test_empty_arrays(self, config):
+        for fn in (_with_empty_arrays, _only_empty_arrays):
+            serial = _map_replicates(fn, config, 2, 1)
+            pooled = _map_replicates(fn, config, 2, 2)
+            for a, b in zip(serial, pooled):
+                assert [x.shape for x in a] == [y.shape for y in b]
+                assert all(np.array_equal(x, y) and y.flags.writeable for x, y in zip(a, b))
+
+    def test_worker_error_leaves_no_file(self, config):
+        with pytest.raises(RuntimeError, match="replicate 1 failed"):
+            _map_replicates(_fail_on_second, config, 3, 2, range(3))
+
+    def test_result_without_buffers_writes_no_file(self, tmp_path):
+        path = tmp_path / "result"
+        payload, spans = _result_to_file(lambda x: {"point": x / 2}, str(path), 3)
+        assert spans == [] and pickle.loads(payload) == {"point": 1.5}
+        assert not path.exists()
 
 
 def _assert_same_run(config):

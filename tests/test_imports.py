@@ -47,13 +47,27 @@ def test_package_import_loads_no_scipy_optimize_or_special():
     assert json.loads(out) == []
 
 
+# prints the loaded modules of the process pool and of its result transport
+POOL_MODULES = (
+    "print(json.dumps(sorted(m for m in sys.modules\n"
+    "    if m.split('.')[0] in ('multiprocessing', 'mmap') or m == 'concurrent.futures.process')))\n"
+)
+
+
 def test_package_import_loads_no_process_pool():
     # the pool's modules load only when a run asks for more than one worker
+    out = _run("import json, sys\nimport hybridnet, hybridnet.cli\n" + POOL_MODULES)
+    assert json.loads(out) == []
+
+
+def test_single_replicate_starts_no_pool():
+    # the pool never has more workers than replicates: one runs in-process
     out = _run(
         "import json, sys\n"
-        "import hybridnet, hybridnet.cli\n"
-        "print(json.dumps(sorted(m for m in sys.modules\n"
-        "    if m.split('.')[0] == 'multiprocessing' or m == 'concurrent.futures.process')))\n"
+        "from hybridnet import HybridParams, SimulationConfig, simulate_replicates\n"
+        "th = HybridParams.fill_gamma(0.1, 0.8, p=0.8, delta_in=1.3, delta_out=0.7)\n"
+        "assert len(simulate_replicates(SimulationConfig(params=th, n_edges=50), 1, worker_count=4)) == 1\n"
+        + POOL_MODULES
     )
     assert json.loads(out) == []
 

@@ -506,6 +506,17 @@ class TestRowBlocks:
             "0,-0,nan", "1,4.9406564584124654e-324,-inf", "2,1e+308,inf"
         ]
 
+    def test_json_keys_and_string_cells(self, tmp_path):
+        # keys that need escaping or hold "%", a repeated key (the dict keeps
+        # its last column), and strings with separators, quotes and newlines
+        header = ("z%d", 'a"b', "m", "é", "m")
+        words = np.array(["x, y", 'q"\n', "%s", "é ", ""] * 1000)
+        columns = [np.arange(5000), words, np.linspace(-1, 1, 5000), words[::-1], np.arange(5000) - 7]
+        path = tmp_path / "rows.json"
+        _write_rows(columns, header, path, "json")
+        rows = [dict(zip(header, row)) for row in zip(*(col.tolist() for col in columns))]
+        assert path.read_text() == json.dumps(rows, sort_keys=True, indent=2) + "\n"
+
     def test_boolean_cells_rejected(self, tmp_path):
         with pytest.raises(TypeError, match="dtype bool"):
             _write_rows([np.arange(2), np.array([True, False])], ("m", "flag"), tmp_path / "x.csv", "csv")
@@ -528,7 +539,7 @@ class TestExportMemory:
         assert peak < 6_000_000, peak
 
     def test_table1_limit_pmf_json(self, tmp_path, table1_params):
-        # the first 40,001 rows: JSON is encoded in Python, five times slower than CSV
+        # the first 40,001 rows
         pmf = limit_pmf(table1_params)
         head = LimitPmf(pmf.psi_in[:40_001], pmf.psi_out[:40_001], 40_000, table1_params)
         peak = self.export_peak(head, tmp_path / "pmf.json")
